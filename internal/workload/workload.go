@@ -260,13 +260,15 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 	for i := range hists {
 		hists[i] = new(workerHists)
 	}
+	// The clock starts before the deadline timer, so a duration-mode
+	// run's Elapsed is never shorter than Duration.
+	start := time.Now()
 	if cfg.Duration > 0 {
 		timer := time.AfterFunc(cfg.Duration, func() { deadline.Store(true) })
 		defer timer.Stop()
 	}
 
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(id int) {

@@ -19,7 +19,8 @@ import (
 // out.  A writer first acquires the inner lock (inheriting its FCFS /
 // priority / starvation-freedom guarantees against other writers and
 // slow-path readers), then revokes the bias: it clears the flag and
-// scans the table until every published reader has left.  Readers that
+// scans the slots this lock's readers can occupy until every
+// published reader has left (see ReaderTable.drainFor).  Readers that
 // arrive with the bias down take the inner lock's ordinary read path
 // unchanged, and re-arm the bias once the revocation throttle — a
 // countdown of slow read passages sized to the revocation the writer
@@ -51,7 +52,7 @@ type Bravo struct {
 	// slowBudget throttles re-arming: the revoking writer sets it to
 	// the number of slow read passages that must complete before the
 	// bias may be re-armed, scaled to the revocation cost it just paid
-	// (table size plus occupied slots waited on), so revocation
+	// (a table-size term plus occupied slots waited on), so revocation
 	// overhead stays a bounded fraction of the work done between
 	// revocations — the role of the BRAVO paper's wall-clock inhibit,
 	// without a clock read on any path.
@@ -88,9 +89,9 @@ const bravoFastSide = int32(-1)
 // actually observed: each occupied slot the revoking writer had to
 // wait on (a live fast-path reader, the expensive part of a scan on a
 // busy machine) buys this many more slow passages before readers may
-// re-arm.  The empty-table part of the scan is charged at one slow
-// passage per 8 slots (see Lock), so a large table on a large machine
-// also keeps the flip-flop frequency bounded.
+// re-arm.  A table-size term of one slow passage per 8 slots (see
+// revoke) sets the floor, so a large table on a large machine also
+// keeps the flip-flop frequency bounded.
 const bravoBusyFactor = 2
 
 // NewBravo wraps inner with the BRAVO reader fast path.  If inner is
@@ -127,7 +128,7 @@ func newBravoOn(tbl *ReaderTable, inner RWLock) *Bravo {
 	b := &Bravo{slots: tbl, id: tbl.assignID(), inner: inner}
 	_, b.innerCombines = CombinerStatsOf(inner)
 	// Start read-biased: the wrapper exists for read-mostly workloads,
-	// and the first writer revokes in O(table) time regardless.
+	// and the first writer revokes in one short scan regardless.
 	b.rbias.Store(true)
 	return b
 }
@@ -266,7 +267,7 @@ func (b *Bravo) Write(cs func()) {
 
 // TryLock attempts write mode without blocking.  The inner lock's
 // TryLock runs first; if the bias is then armed, the wrapper clears
-// it and SCANS the visible-readers table instead of draining it — on
+// it and SCANS its candidate slots instead of draining them — on
 // any occupied slot it restores the bias, releases the inner lock,
 // and reports busy, so a published fast-path reader is never waited
 // on.  The restore is safe because no drain began and the wrapper

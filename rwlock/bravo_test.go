@@ -255,8 +255,8 @@ func TestBravoNilInnerDefaults(t *testing.T) {
 }
 
 // TestReaderSlotsClaimReleaseDrain exercises the table directly,
-// under both wait strategies: a parked drain must be woken by the
-// slot's release.
+// under both wait strategies: a drain must wait on a claim held in
+// every region, and a parked drain must be woken by each release.
 func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
 	for _, strat := range []WaitStrategy{SpinYield, SpinThenPark} {
 		t.Run(strat.String(), func(t *testing.T) {
@@ -267,26 +267,106 @@ func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
 			id := rs.assignID()
 			idx, ok := rs.tryClaim(id)
 			if !ok {
-				t.Fatal("claim failed on an empty table")
+				t.Fatal("claim on the current P failed on an empty table")
 			}
-			// A drain for a DIFFERENT owner must skip the claimed slot
+			if rs.idleFor(id) {
+				t.Fatal("idleFor missed a claim made on the current P")
+			}
+			rs.release(idx)
+			var held []int64
+			for r := uint64(0); r <= rs.rmask; r++ {
+				idx, ok := rs.claimIn(id, r)
+				if !ok {
+					t.Fatalf("claim in region %d failed on an empty table", r)
+				}
+				held = append(held, idx)
+			}
+			// A drain for a DIFFERENT owner must skip the claimed slots
 			// entirely — the shared-arena isolation property.
 			if other := rs.drainFor(id + 1); other != 0 {
 				t.Fatalf("drainFor(other) waited on %d foreign slots", other)
 			}
-			drained := make(chan struct{})
-			go func() { rs.drainFor(id); close(drained) }()
-			select {
-			case <-drained:
-				t.Fatal("drain completed with a slot claimed")
-			case <-time.After(10 * time.Millisecond):
+			drained := make(chan int)
+			go func() { drained <- rs.drainFor(id) }()
+			for r, idx := range held {
+				select {
+				case <-drained:
+					t.Fatalf("drain completed with the claim in region %d still held", r)
+				case <-time.After(10 * time.Millisecond):
+				}
+				rs.release(idx)
 			}
-			rs.release(idx)
 			select {
-			case <-drained:
+			case busy := <-drained:
+				// A drain that reaches a region only after its release
+				// finds that slot free, so only the bounds are exact.
+				if busy < 1 || busy > len(held) {
+					t.Fatalf("drain reported %d busy slots, want 1..%d", busy, len(held))
+				}
 			case <-time.After(2 * time.Second):
-				t.Fatal("drain did not observe the release")
+				t.Fatal("drain did not observe the releases")
 			}
 		})
+	}
+}
+
+// TestReaderTableClaimsInCandidateSet pins the invariant the P-local
+// layout rests on: whatever region a claim lands in — any P id,
+// including ids past the region count (a stale id after unpinning, or
+// GOMAXPROCS raised after construction) — the slot it takes is one the
+// revocation scan reads.  Claims are driven through claimIn, the same
+// index path tryClaim uses, so every region is covered without pinning.
+func TestReaderTableClaimsInCandidateSet(t *testing.T) {
+	for _, size := range []int{0, 64, 1024} {
+		rs := newReaderTable(size, SpinYield)
+		regions := rs.rmask + 1
+		if rs.span < 4 || rs.span*regions != uint64(len(rs.slots)) {
+			t.Fatalf("size %d: %d regions of %d slots over %d, want regions of at least 4 tiling the arena", size, regions, rs.span, len(rs.slots))
+		}
+		ids := []int64{1, 2, 3, 17, 255, 1 << 20, slimIDMask, 1<<40 + 7}
+		for i := 0; i < 8; i++ {
+			ids = append(ids, rs.assignID())
+		}
+		for _, id := range ids {
+			for r := uint64(0); r < 2*regions+1; r++ {
+				// Take every slot a claim by id can take in r: the probe
+				// run must be slotProbes distinct slots of region r%regions.
+				var run []int64
+				for {
+					idx, ok := rs.claimIn(id, r)
+					if !ok {
+						break
+					}
+					if got := uint64(idx) / rs.span; got != r%regions {
+						t.Fatalf("id %d: claim in region %d landed in region %d", id, r, got)
+					}
+					run = append(run, idx)
+				}
+				if len(run) != slotProbes {
+					t.Fatalf("id %d region %d: %d claims fit, want slotProbes (%d)", id, r, len(run), slotProbes)
+				}
+				for _, idx := range run {
+					rs.release(idx)
+				}
+				// Hold each slot of the run alone — claims fill the run
+				// in probe order, so claim up to it and release the ones
+				// before it — and the scan must see it.
+				for j, idx := range run {
+					for k := 0; k <= j; k++ {
+						rs.claimIn(id, r)
+					}
+					for k := 0; k < j; k++ {
+						rs.release(run[k])
+					}
+					if rs.idleFor(id) {
+						t.Fatalf("id %d region %d: idleFor missed a claim on slot %d", id, r, idx)
+					}
+					rs.release(idx)
+					if !rs.idleFor(id) {
+						t.Fatalf("id %d region %d: idleFor reports a claim after releasing slot %d", id, r, idx)
+					}
+				}
+			}
+		}
 	}
 }

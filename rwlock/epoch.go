@@ -114,7 +114,8 @@ type Epoch struct {
 	// shared/sid select the shared-arena deployment
 	// (WithSharedReaderTable): fast readers claim a slot in the shared
 	// table tagged with sid instead of stamping a leased private slot,
-	// and the grace scan walks the arena waiting only on sid's slots.
+	// and the grace scan reads sid's candidate slots in every region,
+	// waiting only on sid's claims.
 	// This trades the zero-RMW read passage for a one-CAS passage
 	// (Bravo's fast-path cost) but shrinks the per-lock footprint from
 	// the priv cache + pool + registry to one id — the deployment for
@@ -530,8 +531,9 @@ func (e *Epoch) writerEnter() {
 		st.GraceActiveNS.Store(nowNanos())
 	}
 	if e.shared != nil {
-		// Shared-arena grace wait: scan the arena, waiting only on
-		// this lock's own claims (other locks' slots are skipped).
+		// Shared-arena grace wait: scan the slots this lock's readers
+		// can occupy, waiting only on its own claims (other locks'
+		// claims there are skipped).
 		// The same ordering argument as below applies — a claim
 		// either precedes the advance (and is waited for) or its
 		// recheck sees the odd epoch and backs out.

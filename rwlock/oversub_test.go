@@ -1,8 +1,10 @@
 package rwlock
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -175,5 +177,53 @@ func TestOversubGuard(t *testing.T) {
 				t.Fatalf("guarded counter = %d, want %d", got, (workers/8)*iters)
 			}
 		})
+	}
+}
+
+// BenchmarkOversubReadHold: many more readers than Ps, each holding
+// its read lock across a yield, so more readers of one lock are inside
+// at once than the reader table seats for it on one P — the rest take
+// the lock's slow path.  writes_pct adds that share of write passages
+// (each a bias revocation that drains the held fast-path readers).
+// Besides ns/op it reports fast_pct, the share of read passages that
+// took the arena fast path.  Run it with -cpu 2 for the 2-P layout.
+func BenchmarkOversubReadHold(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mk   func() RWLock
+	}{
+		{"SlimBravo", func() RWLock { return NewSlimBravo() }},
+		{"Bravo(MWSF)/shared", func() RWLock { return NewBravoMWSF(WithSharedReaderTable(DefaultReaderTable())) }},
+	} {
+		for _, perP := range []int{4, 16} {
+			for _, writesPct := range []int{0, 1} {
+				b.Run(fmt.Sprintf("%s/g=%dxP/writes_pct=%d", c.name, perP, writesPct), func(b *testing.B) {
+					l := c.mk()
+					var reads, fast atomic.Int64
+					b.SetParallelism(perP)
+					b.RunParallel(func(pb *testing.PB) {
+						var n, nr, nf int
+						for pb.Next() {
+							if n++; writesPct > 0 && n%(100/writesPct) == 0 {
+								l.Unlock(l.Lock())
+								continue
+							}
+							tok := l.RLock()
+							nr++
+							if tok.side == bravoFastSide || tok.side == slimFastSide {
+								nf++
+							}
+							runtime.Gosched()
+							l.RUnlock(tok)
+						}
+						reads.Add(int64(nr))
+						fast.Add(int64(nf))
+					})
+					if r := reads.Load(); r > 0 {
+						b.ReportMetric(100*float64(fast.Load())/float64(r), "fast_pct")
+					}
+				})
+			}
+		}
 	}
 }

@@ -40,13 +40,23 @@ func TestWaitCellPadding(t *testing.T) {
 // TestReaderTablePadding: the shared arena is the []waitCell layout
 // again (per-slot isolation comes from waitCell's audited size), but
 // the table HEADER matters once the arena is process-shared: every
-// fast-path claim loads mask and the slice header, so the id counter
-// — RMW'd by every lock construction — must sit on its own line, or
-// a grid build would invalidate every running reader's probe loads.
+// fast-path claim loads the slice header and the region geometry
+// (rmask, span), so those must share line 0, and the id counter —
+// RMW'd by every lock construction — must sit on its own line, or a
+// grid build would invalidate every running reader's probe loads.
 func TestReaderTablePadding(t *testing.T) {
 	var rt ReaderTable
-	if off := unsafe.Offsetof(rt.mask); off != 0 {
-		t.Errorf("ReaderTable.mask at offset %d, want 0", off)
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"slots", unsafe.Offsetof(rt.slots), unsafe.Sizeof(rt.slots)},
+		{"rmask", unsafe.Offsetof(rt.rmask), unsafe.Sizeof(rt.rmask)},
+		{"span", unsafe.Offsetof(rt.span), unsafe.Sizeof(rt.span)},
+	} {
+		if f.off+f.size > cacheLine {
+			t.Errorf("ReaderTable.%s spans [%d, %d), want it inside line 0 (the claim path reads it)", f.name, f.off, f.off+f.size)
+		}
 	}
 	if off := unsafe.Offsetof(rt.nextID); off%cacheLine != 0 {
 		t.Errorf("ReaderTable.nextID at offset %d, want a %d-byte boundary (construction traffic must not share the claim path's header line)", off, cacheLine)

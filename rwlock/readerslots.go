@@ -2,7 +2,6 @@ package rwlock
 
 import (
 	"math/bits"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -30,17 +29,25 @@ import (
 // lock whose reader is inside).  A publishing reader dirties only its
 // own line, so readers scale with cores instead of serializing on the
 // packed [writer-waiting, reader-count] word that every reader of the
-// Bhatt & Jayanti locks must fetch&add.  Writers pay for that reader
-// scalability with a full-arena scan during bias revocation — the
-// BRAVO trade-off, and in the shared deployment the scan cost is paid
-// to the PROCESS-wide arena size, not per lock (the reason the default
-// arena is kept modest; see DefaultReaderTable).
+// Bhatt & Jayanti locks must fetch&add.
+//
+// The arena is split into one REGION per P (GOMAXPROCS at construction,
+// rounded up to a power of two).  A reader claims in the region of the
+// P it runs on, at an offset hashed from the lock's owner id — the
+// BRAVO paper's hash of (thread, lock) — so a goroutine that re-reads a
+// lock keeps writing a line its own core already owns.  Writers pay for
+// that reader scalability with a scan during bias revocation, but the
+// scan visits only the slots the lock's claims can occupy: regions ×
+// slotProbes slots (6 on the 2-P default arena), whatever the arena
+// size.  The price is a per-(P, lock) bound: at most slotProbes readers
+// of one lock that claimed on the same P are on the fast path at once,
+// and the rest take their lock's slow path.
 
-// slotProbes is how many adjacent table entries a reader tries to
-// claim before giving up and taking the slow path.  A small bound
-// keeps the fast path O(1) and bounds the probability of spurious
-// slow-path trips at reasonable load (the table has at least four
-// slots per P, so three probes fail only under heavy oversubscription).
+// slotProbes is how many adjacent slots of its region a reader tries
+// to claim before giving up and taking the slow path.  A small bound
+// keeps the fast path O(1) and the revocation scan short.  Every
+// region has at least four slots (see newReaderTable), so the probes
+// are distinct slots.
 const slotProbes = 3
 
 // ReaderTable is a fixed-size power-of-two arena of reader-presence
@@ -53,16 +60,20 @@ const slotProbes = 3
 // A table is safe for concurrent use by any number of locks and
 // goroutines.  Lock constructors draw a unique owner id from the
 // table, and every claim is tagged with it, so one lock's revocation
-// never waits on another lock's readers — at worst it scans past
+// never waits on another lock's readers — at worst it reads past
 // their slots.
 type ReaderTable struct {
-	mask  uint64
 	slots []waitCell
-	_     [32]byte
+	// rmask is the region count minus one (the count is a power of
+	// two): a claim made on P p goes to region p&rmask.
+	rmask uint64
+	// span is the slot count of one region, a power of two >= 4.
+	span uint64
+	_    [24]byte
 	// nextID hands out per-lock owner ids (contended only at lock
 	// construction; padded off the read-only header above so a
-	// construction burst does not invalidate the fast path's mask and
-	// slice loads).
+	// construction burst does not invalidate the fast path's header
+	// loads).
 	nextID atomic.Int64
 	_      [56]byte
 }
@@ -71,22 +82,27 @@ type ReaderTable struct {
 // to a power of two, floor 8), for sharing among locks constructed
 // with WithSharedReaderTable.  The only option honored is
 // WithWaitStrategy, which selects how revoking writers wait on the
-// arena's slots.  Sizing guidance: the arena bounds the number of
-// concurrent FAST-PATH readers process-wide (a reader that cannot
-// claim a slot in a bounded number of probes takes its lock's slow
-// path, which is correct but slower), while every revocation scans
-// the whole arena — so size to the expected concurrent reader count,
-// not to the lock count.  A few slots per P is plenty.
+// arena's slots.  Sizing guidance: the arena is split into one region
+// per P, and a region's size bounds how many locks' readers can be on
+// the fast path on one P at once without colliding (a reader that
+// cannot claim a slot in a bounded number of probes takes its lock's
+// slow path, which is correct but slower).  A revocation reads only
+// regions × 3 slots, whatever the size — so size to the expected
+// concurrent reader count, not to the lock count.  A few slots per P
+// is plenty.
 func NewReaderTable(min int, opts ...Option) *ReaderTable {
 	o := applyOptions(opts)
 	return newReaderTable(min, o.strategy)
 }
 
 // newReaderTable sizes the table to at least min entries and at least
-// four slots per P, rounded up to a power of two so claim probes can
-// wrap with a mask instead of a modulo.
+// four slots per P, rounded up to a power of two, and splits it into
+// nextPow2(GOMAXPROCS) regions.  Both counts are powers of two and
+// the size is at least 4·nextPow2(GOMAXPROCS), so every region has at
+// least four slots.
 func newReaderTable(min int, s WaitStrategy) *ReaderTable {
-	n := 4 * runtime.GOMAXPROCS(0)
+	procs := runtime.GOMAXPROCS(0)
+	n := 4 * procs
 	if n < min {
 		n = min
 	}
@@ -94,7 +110,12 @@ func newReaderTable(min int, s WaitStrategy) *ReaderTable {
 		n = 8
 	}
 	n = 1 << bits.Len(uint(n-1))
-	t := &ReaderTable{mask: uint64(n - 1), slots: make([]waitCell, n)}
+	regions := 1 << bits.Len(uint(procs-1))
+	t := &ReaderTable{
+		slots: make([]waitCell, n),
+		rmask: uint64(regions - 1),
+		span:  uint64(n / regions),
+	}
 	for i := range t.slots {
 		t.slots[i].setStrategy(s)
 	}
@@ -102,8 +123,9 @@ func newReaderTable(min int, s WaitStrategy) *ReaderTable {
 }
 
 // defaultReaderTable backs DefaultReaderTable: one process-wide arena,
-// sized up from the private default (more locks share it) but capped —
-// every revocation scans the whole arena, so "bigger" is not free.
+// sized up from the private default (more locks share it, so each P's
+// region must hold more locks' readers) but capped — each slot is two
+// cache lines, and the re-arm throttle grows with Slots().
 var defaultReaderTable = sync.OnceValue(func() *ReaderTable {
 	n := 32 * runtime.GOMAXPROCS(0)
 	if n < 64 {
@@ -119,12 +141,14 @@ var defaultReaderTable = sync.OnceValue(func() *ReaderTable {
 // created on first use: the table WithSharedReaderTable callers use
 // unless they construct their own, and the one the Slim locks default
 // to.  Sized to 32 slots per P (floor 64, cap 4096 — the BRAVO
-// paper's global table size), with SpinYield waits.
+// paper's global table size), with SpinYield waits.  On 2 Ps it is
+// two regions of 32 slots, and a revocation reads 6 of its 64 slots.
 func DefaultReaderTable() *ReaderTable { return defaultReaderTable() }
 
-// Slots returns the arena's slot count (a power of two) — the bound
-// on concurrent fast-path readers across every lock sharing the
-// table, and the length of every revocation scan.
+// Slots returns the arena's slot count (a power of two).  A
+// revocation scan reads only regions × 3 of them; the count bounds
+// how many locks' fast-path readers fit on one P without colliding,
+// and sizes the Bravo re-arm throttle.
 func (t *ReaderTable) Slots() int { return len(t.slots) }
 
 // assignID draws a fresh owner id for a lock built over this table.
@@ -139,20 +163,40 @@ func (t *ReaderTable) assignID() int64 {
 	}
 }
 
+// ownerHash spreads owner ids over a region: the high bits of a
+// Fibonacci-hash product, so consecutive ids (a stripe grid's locks)
+// start their probe runs far apart.
+func ownerHash(id int64) uint64 { return uint64(id) * 0x9e3779b97f4a7c15 >> 40 }
+
+// probeSlot is the index of the i-th slot a reader of the lock with
+// owner hash h tries in region r (taken modulo the region count).
+// tryClaim and both scans go through it, so a claim — from any P,
+// with a stale P id after unpinning, or after a GOMAXPROCS change —
+// can land only on a slot the scans read.
+func (t *ReaderTable) probeSlot(h, r, i uint64) uint64 {
+	return (r&t.rmask)*t.span + (h+i)&(t.span-1)
+}
+
 // tryClaim publishes a reader of the lock that owns id into a free
-// slot and returns its index.  The starting probe point mixes the
-// runtime's per-M cheap random source (math/rand/v2's global
-// functions, a few nanoseconds and no shared state) with the owner id
-// — the BRAVO paper's hash of (thread, lock) — so different locks'
-// readers spread across a shared arena instead of piling onto one
-// run of slots.  (The claim CAS needs no wake: setting a slot busy
-// satisfies nobody's wait.)
+// slot of the current P's region and returns its index.  The P id is
+// only a placement hint — the goroutine may migrate as soon as it is
+// unpinned — which is safe because the scans cover every region.
 func (t *ReaderTable) tryClaim(id int64) (int64, bool) {
-	h := rand.Uint64() + uint64(id)*0x9e3779b97f4a7c15
+	r := procPin()
+	procUnpin()
+	return t.claimIn(id, uint64(r))
+}
+
+// claimIn is tryClaim in region r (taken modulo the region count).
+// (The claim CAS needs no wake: setting a slot busy satisfies nobody's
+// wait.)
+func (t *ReaderTable) claimIn(id int64, r uint64) (int64, bool) {
+	h := ownerHash(id)
 	for i := uint64(0); i < slotProbes; i++ {
-		s := &t.slots[(h+i)&t.mask]
+		idx := t.probeSlot(h, r, i)
+		s := &t.slots[idx]
 		if s.load() == 0 && s.cas(0, id) {
-			return int64((h + i) & t.mask), true
+			return int64(idx), true
 		}
 	}
 	return 0, false
@@ -163,30 +207,35 @@ func (t *ReaderTable) tryClaim(id int64) (int64, bool) {
 // the wake probe is one load of the slot's cold line.
 func (t *ReaderTable) release(idx int64) { t.slots[idx].storeWake(0) }
 
-// idleFor is the non-blocking face of drainFor: one scan, no waits,
-// reporting whether no slot was claimed by id's lock at the instant
-// it was read.  A TryLock-path revocation uses it to abort (and
-// restore the bias) instead of waiting for published readers to
-// leave.
+// idleFor is the non-blocking face of drainFor: one scan of id's
+// candidate slots, no waits, reporting whether none was claimed by
+// id's lock at the instant it was read.  A TryLock-path revocation
+// uses it to abort (and restore the bias) instead of waiting for
+// published readers to leave.
 func (t *ReaderTable) idleFor(id int64) bool {
-	for i := range t.slots {
-		if t.slots[i].load() == id {
-			return false
+	h := ownerHash(id)
+	for r := uint64(0); r <= t.rmask; r++ {
+		for i := uint64(0); i < slotProbes; i++ {
+			if t.slots[t.probeSlot(h, r, i)].load() == id {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// drainFor waits until no slot holds id and returns how many it found
-// occupied — the revocation-cost signal that sizes Bravo's re-arm
-// throttle.  Only a revoking writer of the owning lock calls drainFor,
-// strictly after closing its fast path (clearing the bias flag or
-// advancing the epoch): readers that claimed a slot before the close
-// will be waited for, and readers that claim one afterwards observe
-// the closed fast path, back out, and head for the slow path, so each
-// owned slot quiesces and the scan terminates.  Other locks' slots
-// are skipped without waiting — on a shared arena a drain costs one
-// scan plus only its OWN readers' residual passages.
+// drainFor waits until none of id's candidate slots (its probe run in
+// every region) holds id and returns how many it found occupied — the
+// revocation-cost signal that sizes Bravo's re-arm throttle.  Only a
+// revoking writer of the owning lock calls drainFor, strictly after
+// closing its fast path (clearing the bias flag or advancing the
+// epoch): readers that claimed a slot before the close will be waited
+// for, and readers that claim one afterwards observe the closed fast
+// path, back out, and head for the slow path, so each owned slot
+// quiesces and the scan terminates.  Candidates held by other locks
+// are skipped without waiting — on a shared arena a drain costs
+// regions × slotProbes loads plus only its OWN readers' residual
+// passages.
 //
 // (A skipped-then-reclaimed slot is benign: a reader of this lock
 // that claims a slot after the scan passed it rechecks the closed
@@ -194,13 +243,16 @@ func (t *ReaderTable) idleFor(id int64) bool {
 // the per-slot wait relies on.)
 func (t *ReaderTable) drainFor(id int64) (busy int) {
 	notID := func(v int64) bool { return v != id }
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.load() != id {
-			continue
+	h := ownerHash(id)
+	for r := uint64(0); r <= t.rmask; r++ {
+		for i := uint64(0); i < slotProbes; i++ {
+			s := &t.slots[t.probeSlot(h, r, i)]
+			if s.load() != id {
+				continue
+			}
+			busy++
+			s.waitUntil(notID)
 		}
-		busy++
-		s.waitUntil(notID)
 	}
 	return busy
 }

@@ -78,10 +78,11 @@
 //     publish readers in a shared ReaderTable arena instead of a
 //     private one, following the global-table design of BRAVO
 //     (arXiv:1810.01553).  Slots carry owner identities, so a writer
-//     drains only its own lock's readers; collisions between locks
-//     cost a spurious slow-path read, never correctness.  Per-lock
-//     cost drops to the wrapper header plus one table shared by the
-//     whole grid.
+//     drains only its own lock's readers, reading only the slots
+//     they can occupy (3 per lock in each P's region of the arena);
+//     collisions between locks cost a spurious slow-path read, never
+//     correctness.  Per-lock cost drops to the wrapper header plus
+//     one table shared by the whole grid.
 //   - NewSlimBravo and NewSlimEpoch are 16-byte packed variants of
 //     the same two protocols: one atomic word of state plus a
 //     reference into a process-wide table registry.  They give up the

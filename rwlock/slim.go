@@ -269,9 +269,9 @@ func (l *SlimBravo) Write(cs func()) {
 
 // TryLock attempts write mode without blocking: it commits only when
 // the lock is writer-free with no registered slow readers, and — as
-// the full Bravo does — on an armed bias it SCANS the arena instead
-// of draining it, restoring the bias and reporting busy if any of
-// this lock's claims are live.
+// the full Bravo does — on an armed bias it SCANS this lock's arena
+// slots instead of draining them, restoring the bias and reporting
+// busy if any of this lock's claims are live.
 func (l *SlimBravo) TryLock() (WToken, bool) {
 	s := l.state.Load()
 	if s&slimWH != 0 || s&slimRCMask != 0 {
@@ -511,10 +511,11 @@ func (l *SlimEpoch) Write(cs func()) {
 
 // TryLock attempts write mode without blocking: it commits the epoch
 // advance only when no writer is in and no reader is registered, and
-// SCANS the arena instead of draining it — on any live claim of this
-// lock it advances again (reopening the fast path at a fresh even
-// epoch; the monotonic counter makes the double advance safe) and
-// reports busy, so a fast-path reader is never waited on.
+// SCANS this lock's arena slots instead of draining them — on any
+// live claim of this lock it advances again (reopening the fast path
+// at a fresh even epoch; the monotonic counter makes the double
+// advance safe) and reports busy, so a fast-path reader is never
+// waited on.
 func (l *SlimEpoch) TryLock() (WToken, bool) {
 	s := l.state.Load()
 	if s&slimEpochOne != 0 || s&slimERCMask != 0 {

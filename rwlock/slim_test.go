@@ -2,6 +2,7 @@ package rwlock
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -96,6 +97,30 @@ func TestSharedTableExclusion(t *testing.T) {
 		}(l)
 	}
 	wg.Wait()
+}
+
+// TestSharedTableGOMAXPROCSChange: the arena's regions are fixed at
+// construction, so readers running at a different GOMAXPROCS claim
+// with P ids past the region count (1→4) or use only some regions
+// (8→2).  Exclusion must hold either way — every claim still lands in
+// a slot the revocation scan reads.  Not parallel: it sets GOMAXPROCS.
+func TestSharedTableGOMAXPROCSChange(t *testing.T) {
+	for _, tc := range []struct{ built, run int }{{1, 4}, {8, 2}} {
+		t.Run(fmt.Sprintf("%d->%d", tc.built, tc.run), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(tc.built)
+			defer runtime.GOMAXPROCS(prev)
+			tbl := NewReaderTable(0)
+			locks := map[string]RWLock{
+				"SlimBravo":          NewSlimBravo(WithSharedReaderTable(tbl)),
+				"Bravo(MWSF)/shared": NewBravoMWSF(WithSharedReaderTable(tbl)),
+				"MWSF/epoch/shared":  NewEpochMWSF(WithSharedReaderTable(tbl)),
+			}
+			runtime.GOMAXPROCS(tc.run)
+			for name, l := range locks {
+				t.Run(name, func(t *testing.T) { exerciseRW(t, l) })
+			}
+		})
+	}
 }
 
 // TestSharedTableWriterIsolation: a fast-path reader of lock A must

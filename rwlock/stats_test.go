@@ -267,6 +267,40 @@ func TestStatsChurn(t *testing.T) {
 	})
 }
 
+// TestStatsCtxShedPreCancelled: the single-writer wrappers reject an
+// already-cancelled context before touching the writer flag, and that
+// early return is a shed like any other — the deterministic form of
+// the race TestStatsChurn/swwp hits when a deadline fires before
+// LockCtx is entered.
+func TestStatsCtxShedPreCancelled(t *testing.T) {
+	type ctxWriter interface {
+		CtxRWLock
+		CtxFuncWriter
+	}
+	for name, mk := range map[string]func(...Option) ctxWriter{
+		"SWWP": func(o ...Option) ctxWriter { return NewSWWP(o...) },
+		"SWRP": func(o ...Option) ctxWriter { return NewSWRP(o...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := &LockStats{}
+			l := mk(WithStats(st))
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := l.LockCtx(ctx); err == nil {
+				t.Fatal("LockCtx granted under a pre-cancelled context")
+			}
+			if err := l.WriteCtx(ctx, func() { t.Error("WriteCtx ran cs under a pre-cancelled context") }); err == nil {
+				t.Fatal("WriteCtx granted under a pre-cancelled context")
+			}
+			s := st.Snapshot()
+			if s.CtxSheds != 2 || s.WriteAcquires != 0 {
+				t.Fatalf("ctx_sheds %d, write_acquires %d; want 2 and 0", s.CtxSheds, s.WriteAcquires)
+			}
+			l.Unlock(l.Lock()) // the rejected attempts left the writer flag free
+		})
+	}
+}
+
 // TestStatsCombining checks the flat-combining batch counters: the
 // closure write path must account every combined op, and batch
 // geometry must be coherent.

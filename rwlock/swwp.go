@@ -313,6 +313,9 @@ func (l *SWWP) TryRLock() (RToken, bool) { return l.core.tryReaderLock() }
 // it panics on a concurrent write attempt (single-writer contract).
 func (l *SWWP) LockCtx(ctx context.Context) (WToken, error) {
 	if err := ctx.Err(); err != nil {
+		if st := l.core.stats; st != nil {
+			st.CtxSheds.Add(1)
+		}
 		return WToken{}, err
 	}
 	if !l.writerBusy.CompareAndSwap(false, true) {

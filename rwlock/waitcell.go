@@ -92,15 +92,19 @@ type options struct {
 // integer owner id, which is what makes 10^5-10^6 lock instances (a
 // sharded map's stripe grid) affordable.  The trades:
 //
-//   - On Bravo, a revoking writer scans the WHOLE shared arena (it
-//     waits only on its own lock's readers, but it reads every slot),
-//     so the scan cost tracks the arena size, not the lock's own
-//     reader count.
+//   - Fast-path readers of all the locks sharing the arena compete
+//     for its slots.  A reader claims in its P's region of the arena,
+//     on one of 3 slots hashed from its lock, so at most 3 readers of
+//     one lock per P are on the fast path at once (the rest take the
+//     slow path), and locks whose slots collide push each other's
+//     readers onto the slow path.  A revoking writer reads only those
+//     candidate slots in every region — regions × 3 loads, whatever
+//     the arena size — and waits only on its own lock's readers.
 //   - On Epoch, fast-path readers claim an arena slot with a CAS
 //     instead of stamping a leased private slot with a plain store —
 //     the shared deployment gives up the zero-RMW read passage and
 //     costs exactly what Bravo's fast path does.  Grace waits scan
-//     the arena like Bravo's revocations.
+//     the lock's candidate slots like Bravo's revocations.
 //
 // Pass DefaultReaderTable() unless you need your own sizing or wait
 // strategy.  The option is ignored by constructors without a reader

@@ -3,6 +3,7 @@ package rwmap
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"rwsync/rwlock"
 )
@@ -157,6 +158,55 @@ func mapFactories() map[string]Option {
 		"Epoch":             WithLockFactory(func() rwlock.RWLock { return rwlock.NewEpochMWSF() }),
 		"MWSF-combine":      WithLockFactory(func() rwlock.RWLock { return rwlock.NewMWSF(rwlock.WithCombiningWriters()) }),
 		"MWSF":              WithLockFactory(func() rwlock.RWLock { return rwlock.NewMWSF() }),
+	}
+}
+
+// TestCallbackPanicReleasesStripe: a callback panic that the caller
+// recovers (as net/http does for every handler) must not leave the
+// stripe locked — the next Put on that stripe must complete.  Update
+// on a combining stripe lock is out of scope: there the closure may
+// run on another caller's goroutine.
+func TestCallbackPanicReleasesStripe(t *testing.T) {
+	ops := map[string]func(m *Map[int, int]){
+		"Update":       func(m *Map[int, int]) { m.Update(1, func(int, bool) (int, bool) { panic("boom") }) },
+		"Read":         func(m *Map[int, int]) { m.Read(1, func(int, bool) { panic("boom") }) },
+		"GetOrCompute": func(m *Map[int, int]) { m.GetOrCompute(2, func() int { panic("boom") }) },
+		"Range":        func(m *Map[int, int]) { m.Range(func(int, int) bool { panic("boom") }) },
+	}
+	for name, opt := range mapFactories() {
+		for op, call := range ops {
+			if op == "Update" && name == "MWSF-combine" {
+				continue
+			}
+			t.Run(name+"/"+op, func(t *testing.T) {
+				m := New[int, int](WithStripes(1), opt)
+				m.Put(1, 1)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("the callback's panic did not reach the caller")
+						}
+					}()
+					call(m)
+				}()
+				done := make(chan struct{})
+				go func() {
+					m.Put(1, 2)
+					close(done)
+				}()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatal("Put blocked: the recovered panic left the stripe locked")
+				}
+				if v, _ := m.Get(1); v != 2 {
+					t.Errorf("Get(1) = %d after Put, want 2", v)
+				}
+				if _, ok := m.Get(2); ok {
+					t.Error("GetOrCompute stored a value although fill panicked")
+				}
+			})
+		}
 	}
 }
 
