@@ -83,8 +83,8 @@ func main() {
 	// a grace period, which also buys deferred version reclamation.
 	demoEpoch()
 
-	// Single-writer cores: when the application has one designated
-	// writer, skip the writer-serialization layer entirely.
+	// Single-writer locks: when the application has one designated
+	// writer, a single-writer flag stands in for the writer queue.
 	demo("SWWP", oneWriter{rwlock.NewSWWP()})
 
 	fmt.Println()

@@ -134,6 +134,9 @@ func WriteCtx(ctx context.Context, l RWLock, cs func()) error {
 // gate, so the cap throttles concurrent batch executors — effectively
 // nobody — rather than concurrent write attempts.  If the hard
 // admission cap is the point, do not combine.
+//
+// NewSWWP and NewSWRP ignore it: with one writer there is nothing to
+// batch.
 func WithCombiningWriters() Option {
 	return func(o *options) { o.combining = true }
 }

@@ -83,8 +83,8 @@ func ExampleLocker() {
 	// Output: exclusive
 }
 
-// The single-writer cores skip the writer-serialization layer when the
-// application has one designated writer.
+// The single-writer locks serialize writers with a single-writer flag
+// instead of a queue when the application has one designated writer.
 func ExampleNewSWWP() {
 	l := rwlock.NewSWWP()
 

@@ -19,7 +19,7 @@ import (
 // makes the choice pluggable: writerMutex is the contract, and the
 // constructors select an implementation from the options.
 //
-// Three implementations exist:
+// Three implementations serve the multi-writer locks:
 //
 //   - mcsLock (below): an UNBOUNDED MCS queue lock (Mellor-Crummey &
 //     Scott, ACM TOCS 1991).  The default: any number of goroutines
@@ -34,6 +34,10 @@ import (
 //     critical section inside a single acquisition of the inner
 //     mutex.  Batching keeps starvation-freedom but relaxes strict
 //     FCFS to publication order — see combiner.go for the trade.
+//
+// The single-writer locks SWWP and SWRP take a fourth, soleWriter
+// (multi.go): one flag that admits one write attempt and panics on a
+// concurrent second, the single-writer contract as an arbiter.
 
 // writerMutex is the writer-arbitration contract: the obligations the
 // Theorem 3-5 proofs place on the serializing lock M.  acquire blocks
@@ -124,7 +128,8 @@ func newWriterMutex(o options) writerMutex {
 // least 1.  See AndersonLock for what the admission gate is — and is
 // not — in RMR terms, and WithCombiningWriters for how combining on
 // top of the bound changes (effectively voids) the admission-control
-// semantics for closure-path writers.
+// semantics for closure-path writers.  NewSWWP and NewSWRP ignore
+// it: their single-writer flag admits one writer by contract.
 func WithBoundedWriters(n int) Option {
 	if n < 1 {
 		panic("rwlock: WithBoundedWriters needs n >= 1")

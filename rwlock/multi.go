@@ -8,13 +8,20 @@ import (
 // This file implements the paper's Section 5: the single-writer cores
 // lifted to multi-writer locks.
 //
-// MWSF and MWRP use the Figure 3 transformation T verbatim: writers
-// are serialized through the mutual-exclusion lock M around the
+// tLock is the Figure 3 transformation T, written once: writers are
+// serialized through the mutual-exclusion lock M around the
 // single-writer protocol; readers run the single-writer protocol
-// unchanged.  M is the pluggable writer-arbitration layer (mcs.go):
-// the unbounded MCS queue by default, Anderson's array under
-// WithBoundedWriters — either meets the FCFS + starvation-free +
-// O(1)-RMR contract the Theorem 3-5 proofs require of M.
+// unchanged.  M is a writerMutex (mcs.go).  MWSF (T over the Figure 1
+// core) and MWRP (T over the Figure 2 core) use the pluggable
+// arbitration layer: the unbounded MCS queue by default, Anderson's
+// array under WithBoundedWriters — either meets the FCFS +
+// starvation-free + O(1)-RMR contract the Theorem 3-5 proofs require
+// of M — optionally under the flat combiner.  SWWP and SWRP are T
+// over the same two cores with soleWriter as M: an arbiter that
+// admits one writer and panics on a second, which is the
+// single-writer contract of Figures 1 and 2 placed where the paper
+// puts M.  Every write-path counter is kept here; the cores count
+// only reads.
 //
 // MWWP implements Figure 4: T alone does not preserve writer priority
 // (Section 5.1), so exiting writers hand the SWWP core directly to
@@ -22,40 +29,64 @@ import (
 // leave (with no writer waiting) exits the SWWP core and reopens the
 // gate for readers.
 
-// MWSF is the multi-writer multi-reader STARVATION-FREE lock of
-// Theorem 3 (no priority class): mutual exclusion, bounded exit,
-// FCFS among writers, FIFE among readers, concurrent entering,
-// livelock- and starvation-freedom, with O(1) RMR complexity.
-type MWSF struct {
-	core  swwpCore
+// writerCore is what T calls on a single-writer core (swwpCore,
+// swrpCore): the paper's writer and reader procedures, the closure
+// write passage a combiner runs per record, and the no-readers probe
+// TryLock runs before committing.
+type writerCore interface {
+	init(s WaitStrategy, st *LockStats)
+	writerLock() WToken
+	writerUnlock(t WToken)
+	writePassage(cs func())
+	readersIdle() bool
+	readerLock() RToken
+	tryReaderLock() (RToken, bool)
+	readerLockCtx(ctx context.Context) (RToken, error)
+	readerUnlock(t RToken)
+}
+
+// tLock is the transformation T over core C, with M = m.  The exported
+// locks built on T (MWSF, MWRP, SWWP, SWRP) embed it and add only a
+// constructor.
+type tLock[C any, PC interface {
+	*C
+	writerCore
+}] struct {
+	core  C
 	m     writerMutex
 	stats *LockStats
 }
 
-// NewMWSF returns a starvation-free reader-writer lock.  Writer
-// concurrency is unbounded by default (MCS arbitration); pass
-// WithBoundedWriters(n) to cap concurrent write attempts at n.
-func NewMWSF(opts ...Option) *MWSF {
-	o := applyOptions(opts)
-	l := &MWSF{m: newWriterMutex(o), stats: o.stats}
-	l.core.init(o.strategy, o.stats)
-	if c, ok := l.m.(*combiner); ok {
-		// Bind the combiner's per-record passage once, so Write can
-		// submit the caller's closure unwrapped (no per-op allocation).
-		c.passage = l.core.writePassage
+// init installs M and the stats block, sets the core's initial values,
+// and binds a combining M's per-record passage to the core's write
+// passage once, so Write can submit the caller's closure unwrapped (no
+// per-op allocation).
+func (l *tLock[C, PC]) init(o options, m writerMutex) {
+	l.m, l.stats = m, o.stats
+	core := PC(&l.core)
+	core.init(o.strategy, o.stats)
+	if c, ok := m.(*combiner); ok {
+		c.passage = core.writePassage
 	}
-	return l
 }
 
-// Lock acquires the lock in write mode.
-func (l *MWSF) Lock() WToken {
+// enter runs the core's writer entry with M held as slot: the point of
+// no return of every write attempt.
+func (l *tLock[C, PC]) enter(slot wslot) WToken {
+	t := PC(&l.core).writerLock()
+	t.slot = slot
+	return t
+}
+
+// Lock acquires the lock in write mode: M first, then the core's
+// writer entry (Figure 1's doorway and waiting room, or Figure 2
+// lines 2-5).  On SWWP and SWRP it panics if another write attempt is
+// in progress (the single-writer contract).
+func (l *tLock[C, PC]) Lock() WToken {
 	if st := l.stats; st != nil {
 		return l.lockStats(st)
 	}
-	slot := l.m.acquire()
-	prev, cur := l.core.writerDoorway()
-	l.core.writerWaitingRoom(prev)
-	return WToken{prev: prev, cur: cur, slot: slot}
+	return l.enter(l.m.acquire())
 }
 
 // lockStats is Lock's instrumented twin, kept separate so the
@@ -64,42 +95,42 @@ func (l *MWSF) Lock() WToken {
 // 1-in-statsSampleEvery sampled passage stores it, and write mode is
 // exclusive, so the matching Unlock's swap sees either its own stamp
 // or zero.
-func (l *MWSF) lockStats(st *LockStats) WToken {
+func (l *tLock[C, PC]) lockStats(st *LockStats) WToken {
 	var start int64
 	sample := st.sampleNow()
 	if sample {
 		start = nowNanos()
 	}
-	slot := l.m.acquire()
-	prev, cur := l.core.writerDoorway()
-	l.core.writerWaitingRoom(prev)
+	t := l.enter(l.m.acquire())
 	st.WriteAcquires.Add(1)
 	if sample {
 		now := nowNanos()
 		st.recordWriteWait(now - start)
 		st.holdStartNS.Store(now)
 	}
-	return WToken{prev: prev, cur: cur, slot: slot}
+	return t
 }
 
-// Unlock releases write mode.
-func (l *MWSF) Unlock(t WToken) {
+// Unlock releases write mode: the core's writer exit, then M.  On
+// SWWP and SWRP it panics when no write attempt holds the lock.
+func (l *tLock[C, PC]) Unlock(t WToken) {
 	if st := l.stats; st != nil {
 		if hs := st.holdStartNS.Swap(0); hs != 0 {
 			st.recordWriteHold(nowNanos() - hs)
 		}
 	}
-	l.core.writerExit(t.cur)
+	PC(&l.core).writerUnlock(t)
 	l.m.release(t.slot)
 }
 
 // Write runs cs in write mode (the closure path; see FuncWriter).
 // On a lock built with WithCombiningWriters this is where batching
 // happens: cs is published to the combiner, which runs pending
-// sections back-to-back — each inside the full Figure 1 write passage
+// sections back-to-back — each inside the core's full write passage
 // (the combiner's pre-bound passage hook) — within one acquisition of
-// the arbitration mutex.
-func (l *MWSF) Write(cs func()) {
+// the inner arbitration mutex.  Otherwise it is Lock, cs, Unlock, and
+// on SWWP and SWRP a concurrent write attempt panics.
+func (l *tLock[C, PC]) Write(cs func()) {
 	if c, ok := l.m.(*combiner); ok {
 		c.exec(cs)
 		if st := l.stats; st != nil {
@@ -113,8 +144,9 @@ func (l *MWSF) Write(cs func()) {
 }
 
 // CombinerStats reports the batching statistics when the lock was
-// built with WithCombiningWriters (see CombinerStatsOf).
-func (l *MWSF) CombinerStats() (CombinerStats, bool) {
+// built with WithCombiningWriters (see CombinerStatsOf).  SWWP and
+// SWRP never combine and always report false.
+func (l *tLock[C, PC]) CombinerStats() (CombinerStats, bool) {
 	if c, ok := l.m.(*combiner); ok {
 		return c.snapshot(), true
 	}
@@ -122,262 +154,71 @@ func (l *MWSF) CombinerStats() (CombinerStats, bool) {
 }
 
 // TryLock attempts write mode without blocking: a non-blocking probe
-// of the arbitration mutex (tryAcquire — one CAS on the MCS tail, or
-// the Anderson gate + availability check on /bounded locks) followed
-// by the no-readers probe, and only then the irreversible doorway.
-// The probe and the commit are not atomic: a reader registering in
-// that window is drained by the ordinary waiting room, so TryLock
-// never waits on a writer but can briefly wait out such a racer.
-func (l *MWSF) TryLock() (WToken, bool) {
+// of M (one CAS on the MCS tail, the Anderson gate + availability
+// check on /bounded locks, the writer flag on SWWP and SWRP — where
+// Lock would panic, TryLock fails), then the no-readers probe (under
+// reader priority a writer facing registered readers may wait
+// unboundedly, so a registered reader is busy too), and only then the
+// irreversible commit.  The probe and the commit are not atomic: a
+// reader registering in that window is drained by the ordinary
+// waiting room, or waited out through the promotion handoff under
+// reader priority, so TryLock never waits on a writer but can briefly
+// wait out such a racer.
+func (l *tLock[C, PC]) TryLock() (WToken, bool) {
 	slot, ok := l.m.tryAcquire()
+	if ok && !PC(&l.core).readersIdle() {
+		l.m.release(slot)
+		ok = false
+	}
 	if !ok {
 		if st := l.stats; st != nil {
 			st.TrySheds.Add(1)
 		}
 		return WToken{}, false
 	}
-	if !l.core.readersIdle() {
-		l.m.release(slot)
-		if st := l.stats; st != nil {
-			st.TrySheds.Add(1)
-		}
-		return WToken{}, false
-	}
-	prev, cur := l.core.writerDoorway()
-	l.core.writerWaitingRoom(prev)
-	if st := l.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return WToken{prev: prev, cur: cur, slot: slot}, true
-}
-
-// TryRLock attempts read mode without blocking; a failed attempt
-// retires through a zero-length read passage (see
-// swwpCore.tryReaderLock).
-func (l *MWSF) TryRLock() (RToken, bool) { return l.core.tryReaderLock() }
-
-// LockCtx acquires write mode with the queue wait cancellable: while
-// the writer waits its turn on the arbitration mutex — where an
-// oversubscribed writer convoy actually waits — cancellation unlinks
-// it (the MCS abort seam; on /bounded locks only the admission gate
-// is abortable, see AndersonLock.AcquireCtx).  Once the mutex is
-// granted the doorway commits the writer and ctx is not consulted
-// again.
-func (l *MWSF) LockCtx(ctx context.Context) (WToken, error) {
-	slot, err := l.m.acquireCtx(ctx)
-	if err != nil {
-		if st := l.stats; st != nil {
-			st.CtxSheds.Add(1)
-		}
-		return WToken{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled between grant and doorway: nothing of the core has
-		// been touched, so handing the mutex on is a complete undo.
-		l.m.release(slot)
-		if st := l.stats; st != nil {
-			st.CtxSheds.Add(1)
-		}
-		return WToken{}, err
-	}
-	prev, cur := l.core.writerDoorway() // point of no return
-	l.core.writerWaitingRoom(prev)
-	if st := l.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return WToken{prev: prev, cur: cur, slot: slot}, nil
-}
-
-// RLockCtx acquires read mode, aborting the gate wait when ctx is
-// cancelled; the aborted reader retires through a zero-length read
-// passage, keeping counts and permit handoffs exact.
-func (l *MWSF) RLockCtx(ctx context.Context) (RToken, error) {
-	return l.core.readerLockCtx(ctx)
-}
-
-// WriteCtx runs cs in write mode unless ctx is cancelled first.  On a
-// combining lock cancellation wins only before the publication CAS (a
-// published record always executes — see combiner.execCtx); otherwise
-// LockCtx's commitment point applies.
-func (l *MWSF) WriteCtx(ctx context.Context, cs func()) error {
-	if c, ok := l.m.(*combiner); ok {
-		err := c.execCtx(ctx, cs)
-		if st := l.stats; st != nil {
-			if err != nil {
-				st.CtxSheds.Add(1)
-			} else {
-				st.WriteAcquires.Add(1)
-			}
-		}
-		return err
-	}
-	t, err := l.LockCtx(ctx)
-	if err != nil {
-		return err
-	}
-	defer l.Unlock(t)
-	cs()
-	return nil
-}
-
-// RLock acquires the lock in read mode.
-func (l *MWSF) RLock() RToken { return l.core.readerLock() }
-
-// RUnlock releases read mode.
-func (l *MWSF) RUnlock(t RToken) { l.core.readerUnlock(t) }
-
-var _ RWLock = (*MWSF)(nil)
-var _ FuncWriter = (*MWSF)(nil)
-var _ TryRWLock = (*MWSF)(nil)
-var _ CtxRWLock = (*MWSF)(nil)
-var _ CtxFuncWriter = (*MWSF)(nil)
-
-// MWRP is the multi-writer multi-reader READER-PRIORITY lock of
-// Theorem 4: properties P1-P6 plus RP1/RP2, with O(1) RMR
-// complexity.  Writers may starve while readers keep arriving.
-type MWRP struct {
-	core  swrpCore
-	m     writerMutex
-	stats *LockStats
-}
-
-// NewMWRP returns a reader-priority reader-writer lock.  Writer
-// concurrency is unbounded by default (MCS arbitration); pass
-// WithBoundedWriters(n) to cap concurrent write attempts at n.
-func NewMWRP(opts ...Option) *MWRP {
-	o := applyOptions(opts)
-	l := &MWRP{m: newWriterMutex(o), stats: o.stats}
-	l.core.init(o.strategy, o.stats)
-	if c, ok := l.m.(*combiner); ok {
-		c.passage = l.core.writePassage // see NewMWSF
-	}
-	return l
-}
-
-// Lock acquires the lock in write mode.
-func (l *MWRP) Lock() WToken {
-	if st := l.stats; st != nil {
-		return l.lockStats(st)
-	}
-	slot := l.m.acquire()
-	t := l.core.writerLock()
-	t.slot = slot
-	return t
-}
-
-// lockStats is Lock's instrumented twin; see MWSF.lockStats for the
-// holdStartNS register discipline.
-func (l *MWRP) lockStats(st *LockStats) WToken {
-	var start int64
-	sample := st.sampleNow()
-	if sample {
-		start = nowNanos()
-	}
-	slot := l.m.acquire()
-	t := l.core.writerLock()
-	t.slot = slot
-	st.WriteAcquires.Add(1)
-	if sample {
-		now := nowNanos()
-		st.recordWriteWait(now - start)
-		st.holdStartNS.Store(now)
-	}
-	return t
-}
-
-// Unlock releases write mode.
-func (l *MWRP) Unlock(t WToken) {
-	if st := l.stats; st != nil {
-		if hs := st.holdStartNS.Swap(0); hs != 0 {
-			st.recordWriteHold(nowNanos() - hs)
-		}
-	}
-	l.core.writerUnlock(t)
-	l.m.release(t.slot)
-}
-
-// Write runs cs in write mode (the closure path; see FuncWriter).
-// On a combining lock cs is published and batched, each record run
-// inside the full Figure 2 write passage; see MWSF.Write.
-func (l *MWRP) Write(cs func()) {
-	if c, ok := l.m.(*combiner); ok {
-		c.exec(cs)
-		if st := l.stats; st != nil {
-			st.WriteAcquires.Add(1)
-		}
-		return
-	}
-	t := l.Lock()
-	defer l.Unlock(t)
-	cs()
-}
-
-// CombinerStats reports the batching statistics when the lock was
-// built with WithCombiningWriters (see CombinerStatsOf).
-func (l *MWRP) CombinerStats() (CombinerStats, bool) {
-	if c, ok := l.m.(*combiner); ok {
-		return c.snapshot(), true
-	}
-	return CombinerStats{}, false
-}
-
-// TryLock attempts write mode without blocking: the arbitration
-// mutex's non-blocking probe, then the no-readers probe (under reader
-// priority a writer facing registered readers may wait unboundedly),
-// then the commit.  As with every TryLock in the package, a reader
-// registering between probe and commit is waited out through the
-// promotion handoff — the documented race window.
-func (l *MWRP) TryLock() (WToken, bool) {
-	slot, ok := l.m.tryAcquire()
-	if !ok {
-		if st := l.stats; st != nil {
-			st.TrySheds.Add(1)
-		}
-		return WToken{}, false
-	}
-	if l.core.c.Load() != 0 {
-		l.m.release(slot)
-		if st := l.stats; st != nil {
-			st.TrySheds.Add(1)
-		}
-		return WToken{}, false
-	}
-	t := l.core.writerLock()
-	t.slot = slot
+	t := l.enter(slot)
 	if st := l.stats; st != nil {
 		st.WriteAcquires.Add(1)
 	}
 	return t, true
 }
 
-// TryRLock attempts read mode without blocking; under reader priority
-// it fails only while a writer owns (or has just been promoted into)
-// the CS.  See swrpCore.tryReaderLock.
-func (l *MWRP) TryRLock() (RToken, bool) { return l.core.tryReaderLock() }
+// TryRLock attempts read mode without blocking; a failed attempt
+// retires through a zero-length read passage (see
+// swwpCore.tryReaderLock).  Under reader priority it fails only while
+// a writer owns (or has just been promoted into) the CS (see
+// swrpCore.tryReaderLock).
+func (l *tLock[C, PC]) TryRLock() (RToken, bool) { return PC(&l.core).tryReaderLock() }
 
-// LockCtx acquires write mode with the arbitration-queue wait
-// cancellable.  Once the mutex is granted and the core's direction
-// toggle runs, the writer is committed; under reader priority that
-// committed wait is unbounded while readers keep arriving, and ctx
-// cannot recall it — deadline writers on a reader-priority lock
-// should expect cancellation to win only in the queue.
-func (l *MWRP) LockCtx(ctx context.Context) (WToken, error) {
+// LockCtx acquires write mode with the wait for M cancellable: while
+// the writer waits its turn there — where an oversubscribed writer
+// convoy actually waits — cancellation unlinks it (the MCS abort
+// seam; on /bounded locks only the admission gate is abortable, see
+// AndersonLock.AcquireCtx).  SWWP and SWRP have no queue: their M
+// checks ctx once and then, like Lock, panics on a concurrent write
+// attempt.  Once M is granted the core's doorway (the direction-bit
+// toggle) commits the writer and ctx is not consulted again.  Past it
+// the wait is bounded by the readers already inside — except under
+// reader priority (MWRP, SWRP), where it is unbounded while readers
+// keep arriving and ctx cannot recall it (aborting after Promote
+// poisons the X/Permit handshake), so deadline writers there should
+// expect cancellation to win only before the commit.
+func (l *tLock[C, PC]) LockCtx(ctx context.Context) (WToken, error) {
 	slot, err := l.m.acquireCtx(ctx)
+	if err == nil {
+		if err = ctx.Err(); err != nil {
+			// Cancelled between grant and doorway: nothing of the core
+			// has been touched, so handing M on is a complete undo.
+			l.m.release(slot)
+		}
+	}
 	if err != nil {
 		if st := l.stats; st != nil {
 			st.CtxSheds.Add(1)
 		}
 		return WToken{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		l.m.release(slot) // core untouched: a complete undo
-		if st := l.stats; st != nil {
-			st.CtxSheds.Add(1)
-		}
-		return WToken{}, err
-	}
-	t := l.core.writerLock() // point of no return
-	t.slot = slot
+	t := l.enter(slot) // point of no return
 	if st := l.stats; st != nil {
 		st.WriteAcquires.Add(1)
 	}
@@ -386,16 +227,17 @@ func (l *MWRP) LockCtx(ctx context.Context) (WToken, error) {
 
 // RLockCtx acquires read mode, aborting the gate wait when ctx is
 // cancelled; the aborted reader retires through a zero-length read
-// passage (C decrement + Promote), keeping the promotion handoff
-// exact.
-func (l *MWRP) RLockCtx(ctx context.Context) (RToken, error) {
-	return l.core.readerLockCtx(ctx)
+// passage (under reader priority, the C decrement plus Promote),
+// keeping counts and permit handoffs exact.
+func (l *tLock[C, PC]) RLockCtx(ctx context.Context) (RToken, error) {
+	return PC(&l.core).readerLockCtx(ctx)
 }
 
-// WriteCtx runs cs in write mode unless ctx is cancelled first; on a
-// combining lock the publication CAS is the point of no return (see
-// combiner.execCtx), otherwise LockCtx's commitment points apply.
-func (l *MWRP) WriteCtx(ctx context.Context, cs func()) error {
+// WriteCtx runs cs in write mode unless ctx is cancelled first (see
+// CtxFuncWriter).  On a combining lock cancellation wins only before
+// the publication CAS (a published record always executes — see
+// combiner.execCtx); otherwise LockCtx's commitment points apply.
+func (l *tLock[C, PC]) WriteCtx(ctx context.Context, cs func()) error {
 	if c, ok := l.m.(*combiner); ok {
 		err := c.execCtx(ctx, cs)
 		if st := l.stats; st != nil {
@@ -417,16 +259,96 @@ func (l *MWRP) WriteCtx(ctx context.Context, cs func()) error {
 }
 
 // RLock acquires the lock in read mode.
-func (l *MWRP) RLock() RToken { return l.core.readerLock() }
+func (l *tLock[C, PC]) RLock() RToken { return PC(&l.core).readerLock() }
 
 // RUnlock releases read mode.
-func (l *MWRP) RUnlock(t RToken) { l.core.readerUnlock(t) }
+func (l *tLock[C, PC]) RUnlock(t RToken) { PC(&l.core).readerUnlock(t) }
 
-var _ RWLock = (*MWRP)(nil)
-var _ FuncWriter = (*MWRP)(nil)
-var _ TryRWLock = (*MWRP)(nil)
-var _ CtxRWLock = (*MWRP)(nil)
-var _ CtxFuncWriter = (*MWRP)(nil)
+// soleWriter is M for the single-writer locks: one flag admitting one
+// write attempt at a time.  It never waits, because a second
+// concurrent writer breaks the caller's contract rather than joining
+// a queue: acquire panics on it, tryAcquire reports it busy.  No
+// wrapper registers a batch-boundary hook on a single-writer lock
+// (NewEpoch takes only the multi-writer ones), so onBatchRetire
+// panics too.
+type soleWriter struct {
+	busy atomic.Bool
+	// lock and multi name the single-writer lock and the multi-writer
+	// constructor to use instead, for the panic messages.
+	lock, multi string
+}
+
+func (w *soleWriter) acquire() wslot {
+	if !w.busy.CompareAndSwap(false, true) {
+		panic("rwlock: concurrent Lock on single-writer " + w.lock + " lock (use " + w.multi + ")")
+	}
+	return wslot{}
+}
+
+func (w *soleWriter) tryAcquire() (wslot, bool) {
+	return wslot{}, w.busy.CompareAndSwap(false, true)
+}
+
+// acquireCtx checks ctx before claiming the flag, so a cancelled
+// attempt neither panics nor holds M.
+func (w *soleWriter) acquireCtx(ctx context.Context) (wslot, error) {
+	if err := ctx.Err(); err != nil {
+		return wslot{}, err
+	}
+	return w.acquire(), nil
+}
+
+func (w *soleWriter) release(wslot) {
+	if !w.busy.CompareAndSwap(true, false) {
+		panic("rwlock: Unlock of unlocked " + w.lock + " lock")
+	}
+}
+
+func (w *soleWriter) onBatchRetire(func()) {
+	panic("rwlock: single-writer " + w.lock + " lock has no batch boundary")
+}
+
+// MWSF is the multi-writer multi-reader STARVATION-FREE lock of
+// Theorem 3 (no priority class): mutual exclusion, bounded exit,
+// FCFS among writers, FIFE among readers, concurrent entering,
+// livelock- and starvation-freedom, with O(1) RMR complexity.
+type MWSF struct{ tLock[swwpCore, *swwpCore] }
+
+// NewMWSF returns a starvation-free reader-writer lock.  Writer
+// concurrency is unbounded by default (MCS arbitration); pass
+// WithBoundedWriters(n) to cap concurrent write attempts at n.
+func NewMWSF(opts ...Option) *MWSF {
+	o := applyOptions(opts)
+	l := &MWSF{}
+	l.init(o, newWriterMutex(o))
+	return l
+}
+
+// MWRP is the multi-writer multi-reader READER-PRIORITY lock of
+// Theorem 4: properties P1-P6 plus RP1/RP2, with O(1) RMR
+// complexity.  Writers may starve while readers keep arriving.
+type MWRP struct{ tLock[swrpCore, *swrpCore] }
+
+// NewMWRP returns a reader-priority reader-writer lock.  Writer
+// concurrency is unbounded by default (MCS arbitration); pass
+// WithBoundedWriters(n) to cap concurrent write attempts at n.
+func NewMWRP(opts ...Option) *MWRP {
+	o := applyOptions(opts)
+	l := &MWRP{}
+	l.init(o, newWriterMutex(o))
+	return l
+}
+
+// Every lock built on T has the full read and write surface.
+var _ = []interface {
+	TryRWLock
+	CtxRWLock
+	FuncWriter
+	CtxFuncWriter
+	combinerStatser
+}{(*MWSF)(nil), (*MWRP)(nil), (*SWWP)(nil), (*SWRP)(nil)}
+
+var _ writerMutex = (*soleWriter)(nil)
 
 // MWWP is the multi-writer multi-reader WRITER-PRIORITY lock of
 // Theorem 5 (the paper's Figure 4): properties P1-P6 plus WP1/WP2,
@@ -455,7 +377,7 @@ func NewMWWP(opts ...Option) *MWWP {
 	// behaves exactly like the first SWWP attempt (D: 0 -> 1).
 	l.wtoken.Store(tokenSide(1))
 	if c, ok := l.m.(*combiner); ok {
-		c.passage = l.combinedPassage // see NewMWSF
+		c.passage = l.combinedPassage // see tLock.init
 	}
 	return l
 }
@@ -490,7 +412,7 @@ func (l *MWWP) Lock() WToken {
 	return WToken{prev: prev, cur: cur, slot: slot, id: id}
 }
 
-// lockStats is Lock's instrumented twin; see MWSF.lockStats for the
+// lockStats is Lock's instrumented twin; see tLock.lockStats for the
 // holdStartNS register discipline.
 func (l *MWWP) lockStats(st *LockStats) WToken {
 	var start int64

@@ -13,9 +13,11 @@
 //   - NewMWWP (Theorem 5): writer priority (WP1/WP2); readers may
 //     starve under a continuous writer load.
 //
-// The single-writer cores (NewSWWP, NewSWRP — the paper's Figures 1
-// and 2) are exported as well: when the application has one designated
-// writer they avoid the multi-writer serialization layer entirely.
+// The single-writer locks (NewSWWP, NewSWRP — the paper's Figures 1
+// and 2) are exported as well, for applications with one designated
+// writer.  They are the same transformation T as MWSF and MWRP, with
+// the writer queue replaced by a single-writer flag: a write attempt
+// never waits for another writer, and a second concurrent one panics.
 //
 // # Writer arbitration
 //

@@ -1,6 +1,7 @@
 package rwlock
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -184,30 +185,41 @@ func TestWriterExcludesNewReaders(t *testing.T) {
 	}
 }
 
+// TestSingleWriterMisusePanics pins the single-writer contract at
+// every write entry point: a second concurrent Lock or LockCtx (with a
+// live context), and an Unlock with no writer inside, each panic.
 func TestSingleWriterMisusePanics(t *testing.T) {
-	l := NewSWWP()
-	tok := l.Lock()
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		l.Lock() // second concurrent writer: must panic
-	}()
-	if p := <-done; p == nil {
-		t.Fatal("expected panic on concurrent Lock of SWWP")
+	for name, mk := range map[string]func() CtxRWLock{
+		"SWWP": func() CtxRWLock { return NewSWWP() },
+		"SWRP": func() CtxRWLock { return NewSWRP() },
+	} {
+		for entry, second := range map[string]func(CtxRWLock){
+			"Lock":    func(l CtxRWLock) { l.Lock() },
+			"LockCtx": func(l CtxRWLock) { _, _ = l.LockCtx(context.Background()) },
+		} {
+			t.Run(name+"/second "+entry, func(t *testing.T) {
+				l := mk()
+				tok := l.Lock()
+				done := make(chan any, 1)
+				go func() {
+					defer func() { done <- recover() }()
+					second(l)
+				}()
+				if p := <-done; p == nil {
+					t.Fatalf("no panic on a second concurrent %s of %s", entry, name)
+				}
+				l.Unlock(tok) // the rejected attempt left the holder's flag alone
+			})
+		}
+		t.Run(name+"/Unlock without writer", func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic on Unlock of an unlocked %s", name)
+				}
+			}()
+			mk().Unlock(WToken{})
+		})
 	}
-	l.Unlock(tok)
-
-	l2 := NewSWRP()
-	tok2 := l2.Lock()
-	done2 := make(chan any, 1)
-	go func() {
-		defer func() { done2 <- recover() }()
-		l2.Lock()
-	}()
-	if p := <-done2; p == nil {
-		t.Fatal("expected panic on concurrent Lock of SWRP")
-	}
-	l2.Unlock(tok2)
 }
 
 func TestWriteLockIsExclusiveAmongWriters(t *testing.T) {

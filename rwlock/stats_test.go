@@ -250,9 +250,14 @@ func TestStatsChurn(t *testing.T) {
 		t.Parallel()
 		st := &LockStats{}
 		// Single-writer contract: one writer goroutine, no TryLock
-		// racer (a TryLock losing the writerBusy race would be a
+		// racer (a TryLock losing the writer-flag race would be a
 		// legitimate shed, but Lock would panic — keep writers=1).
 		churnStats(t, "swwp", NewSWWP(WithStats(st)), st, 1, false, nil)
+	})
+	t.Run("swrp", func(t *testing.T) {
+		t.Parallel()
+		st := &LockStats{}
+		churnStats(t, "swrp", NewSWRP(WithStats(st)), st, 1, false, nil) // see swwp
 	})
 	t.Run("bravo-mwsf", func(t *testing.T) {
 		t.Parallel()
@@ -267,10 +272,12 @@ func TestStatsChurn(t *testing.T) {
 	})
 }
 
-// TestStatsCtxShedPreCancelled: the single-writer wrappers reject an
-// already-cancelled context before touching the writer flag, and that
-// early return is a shed like any other — the deterministic form of
-// the race TestStatsChurn/swwp hits when a deadline fires before
+// TestStatsCtxShedPreCancelled: every lock rejects an
+// already-cancelled context before its writer commits — the
+// single-writer locks before touching the writer flag, the
+// multi-writer ones at the arbitration grant or right after it — and
+// that early return is a shed like any other: the deterministic form
+// of the race TestStatsChurn hits when a deadline fires before
 // LockCtx is entered.
 func TestStatsCtxShedPreCancelled(t *testing.T) {
 	type ctxWriter interface {
@@ -280,6 +287,9 @@ func TestStatsCtxShedPreCancelled(t *testing.T) {
 	for name, mk := range map[string]func(...Option) ctxWriter{
 		"SWWP": func(o ...Option) ctxWriter { return NewSWWP(o...) },
 		"SWRP": func(o ...Option) ctxWriter { return NewSWRP(o...) },
+		"MWSF": func(o ...Option) ctxWriter { return NewMWSF(o...) },
+		"MWRP": func(o ...Option) ctxWriter { return NewMWRP(o...) },
+		"MWWP": func(o ...Option) ctxWriter { return NewMWWP(o...) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := &LockStats{}
@@ -296,7 +306,7 @@ func TestStatsCtxShedPreCancelled(t *testing.T) {
 			if s.CtxSheds != 2 || s.WriteAcquires != 0 {
 				t.Fatalf("ctx_sheds %d, write_acquires %d; want 2 and 0", s.CtxSheds, s.WriteAcquires)
 			}
-			l.Unlock(l.Lock()) // the rejected attempts left the writer flag free
+			l.Unlock(l.Lock()) // the rejected attempts left the arbiter free
 		})
 	}
 }
@@ -432,34 +442,44 @@ func TestStatsParks(t *testing.T) {
 	}
 }
 
-// TestStatsSampledLatency drives enough passages through one block to
-// guarantee histogram samples on both classes.
+// TestStatsSampledLatency drives enough passages through one block of
+// each core lock to guarantee histogram samples on both classes.
 func TestStatsSampledLatency(t *testing.T) {
-	st := &LockStats{}
-	l := NewMWSF(WithStats(st))
-	// Separate loops: the sampling counter is shared between the two
-	// classes, so strict alternation would pin one class to odd counts
-	// and starve its histogram.
-	for i := 0; i < statsSampleEvery*4; i++ {
-		wt := l.Lock()
-		l.Unlock(wt)
-	}
-	for i := 0; i < statsSampleEvery*4; i++ {
-		rt := l.RLock()
-		l.RUnlock(rt)
-	}
-	s := st.Snapshot()
-	if s.ReadWait.Count == 0 {
-		t.Error("read_wait histogram empty after 256 sampled-window reads")
-	}
-	if s.WriteWait.Count == 0 {
-		t.Error("write_wait histogram empty after 256 sampled-window writes")
-	}
-	if s.WriteHold.Count == 0 {
-		t.Error("write_hold histogram empty after 256 sampled-window writes")
-	}
-	if err := s.CheckCoherence(); err != nil {
-		t.Errorf("CheckCoherence: %v", err)
+	for name, mk := range map[string]func(...Option) RWLock{
+		"MWSF": func(o ...Option) RWLock { return NewMWSF(o...) },
+		"MWRP": func(o ...Option) RWLock { return NewMWRP(o...) },
+		"MWWP": func(o ...Option) RWLock { return NewMWWP(o...) },
+		"SWWP": func(o ...Option) RWLock { return NewSWWP(o...) },
+		"SWRP": func(o ...Option) RWLock { return NewSWRP(o...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := &LockStats{}
+			l := mk(WithStats(st))
+			// Separate loops: the sampling counter is shared between the
+			// two classes, so strict alternation would pin one class to
+			// odd counts and starve its histogram.
+			for i := 0; i < statsSampleEvery*4; i++ {
+				wt := l.Lock()
+				l.Unlock(wt)
+			}
+			for i := 0; i < statsSampleEvery*4; i++ {
+				rt := l.RLock()
+				l.RUnlock(rt)
+			}
+			s := st.Snapshot()
+			if s.ReadWait.Count == 0 {
+				t.Error("read_wait histogram empty after 256 sampled-window reads")
+			}
+			if s.WriteWait.Count == 0 {
+				t.Error("write_wait histogram empty after 256 sampled-window writes")
+			}
+			if s.WriteHold.Count == 0 {
+				t.Error("write_hold histogram empty after 256 sampled-window writes")
+			}
+			if err := s.CheckCoherence(); err != nil {
+				t.Errorf("CheckCoherence: %v", err)
+			}
+		})
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 
 // swrpCore is the shared-variable state and code of the paper's
 // Figure 2 single-writer multi-reader reader-priority algorithm.
-// SWRP uses it directly; MWRP wraps its writer side in Anderson's
-// lock (Figure 3).  Gate and Permit — the variables processes wait on
-// — are waitCells; X and C are only read/CAS'd/fetch&added, never
-// waited on, so they stay plain atomics.
+// SWRP and MWRP are the transformation T over it (multi.go), with the
+// single-writer arbiter and the multi-writer arbitration layer as M.
+// Gate and Permit — the variables processes wait on — are waitCells;
+// X and C are only read/CAS'd/fetch&added, never waited on, so they
+// stay plain atomics.
 type swrpCore struct {
 	d      atomic.Int32
 	_      [60]byte
@@ -190,6 +191,12 @@ func (l *swrpCore) readerLockCtx(ctx context.Context) (RToken, error) {
 	return RToken{side: d, id: id}, nil
 }
 
+// readersIdle reports that no reader is registered (C == 0), the
+// availability probe TryLock runs before committing: under reader
+// priority a writer facing registered readers may wait unboundedly.
+// Like swwpCore.readersIdle it is a snapshot, not an atomic predicate.
+func (l *swrpCore) readersIdle() bool { return l.c.Load() == 0 }
+
 // readerUnlock is Figure 2 lines 26-27.
 func (l *swrpCore) readerUnlock(t RToken) {
 	l.c.Add(-1)     // line 26
@@ -206,140 +213,14 @@ func (l *swrpCore) readerUnlock(t RToken) {
 // At most one goroutine may be between Lock and Unlock at a time
 // (single-writer contract); a second concurrent Lock panics.  Use
 // NewMWRP when multiple writers are possible.
-type SWRP struct {
-	core       swrpCore
-	writerBusy atomic.Bool
-}
+type SWRP struct{ tLock[swrpCore, *swrpCore] }
 
 // NewSWRP returns a ready-to-use single-writer reader-priority lock.
+// Its writer arbiter is the single-writer flag, so the writer
+// arbitration options (WithBoundedWriters, WithCombiningWriters) are
+// ignored.
 func NewSWRP(opts ...Option) *SWRP {
-	o := applyOptions(opts)
 	l := &SWRP{}
-	l.core.init(o.strategy, o.stats)
+	l.init(applyOptions(opts), &soleWriter{lock: "SWRP", multi: "NewMWRP"})
 	return l
 }
-
-// Lock acquires the lock in write mode.  It panics if another write
-// attempt is in progress (single-writer contract).
-func (l *SWRP) Lock() WToken {
-	if !l.writerBusy.CompareAndSwap(false, true) {
-		panic("rwlock: concurrent Lock on single-writer SWRP lock (use NewMWRP)")
-	}
-	t := l.core.writerLock()
-	if st := l.core.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return t
-}
-
-// Unlock releases write mode.
-func (l *SWRP) Unlock(t WToken) {
-	l.core.writerUnlock(t)
-	if !l.writerBusy.CompareAndSwap(true, false) {
-		panic("rwlock: Unlock of unlocked SWRP lock")
-	}
-}
-
-// Write runs cs in write mode (the closure path; see FuncWriter).
-// The single-writer contract applies: a concurrent write attempt
-// panics.
-func (l *SWRP) Write(cs func()) {
-	t := l.Lock()
-	defer l.Unlock(t)
-	cs()
-}
-
-// TryLock attempts write mode without blocking.  It fails when
-// another write attempt is in progress (where Lock would panic —
-// single-writer contract) or when any reader is registered (under
-// reader priority a writer facing readers may wait unboundedly, so
-// "reader present" is the busy condition).  The probe and the commit
-// (the line 2 direction toggle) are not atomic: a reader registering
-// in that window is waited out via the promotion handoff — TryLock
-// never waits on a writer but can briefly wait on such a racer.
-func (l *SWRP) TryLock() (WToken, bool) {
-	if !l.writerBusy.CompareAndSwap(false, true) {
-		if st := l.core.stats; st != nil {
-			st.TrySheds.Add(1)
-		}
-		return WToken{}, false
-	}
-	if l.core.c.Load() != 0 {
-		l.writerBusy.Store(false)
-		if st := l.core.stats; st != nil {
-			st.TrySheds.Add(1)
-		}
-		return WToken{}, false
-	}
-	t := l.core.writerLock()
-	if st := l.core.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return t, true
-}
-
-// TryRLock attempts read mode without blocking; see
-// swrpCore.tryReaderLock for the failure condition and undo.
-func (l *SWRP) TryRLock() (RToken, bool) { return l.core.tryReaderLock() }
-
-// LockCtx acquires write mode; cancellation wins only BEFORE the
-// line 2 direction toggle, Figure 2's point of no return.  Past it
-// the writer is committed and exposed to the discipline's own
-// semantics — under reader priority that wait is unbounded while
-// readers keep arriving, and ctx cannot recall it (aborting after
-// Promote poisons the X/Permit handshake).  Like Lock, it panics on
-// a concurrent write attempt (single-writer contract).
-func (l *SWRP) LockCtx(ctx context.Context) (WToken, error) {
-	if err := ctx.Err(); err != nil {
-		if st := l.core.stats; st != nil {
-			st.CtxSheds.Add(1)
-		}
-		return WToken{}, err
-	}
-	if !l.writerBusy.CompareAndSwap(false, true) {
-		panic("rwlock: concurrent Lock on single-writer SWRP lock (use NewMWRP)")
-	}
-	if err := ctx.Err(); err != nil {
-		l.writerBusy.Store(false)
-		if st := l.core.stats; st != nil {
-			st.CtxSheds.Add(1)
-		}
-		return WToken{}, err
-	}
-	t := l.core.writerLock() // line 2 = point of no return
-	if st := l.core.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return t, nil
-}
-
-// RLockCtx acquires read mode, aborting the gate wait when ctx is
-// cancelled; the aborted reader retires through a zero-length read
-// passage.
-func (l *SWRP) RLockCtx(ctx context.Context) (RToken, error) {
-	return l.core.readerLockCtx(ctx)
-}
-
-// WriteCtx runs cs in write mode unless ctx is cancelled first (see
-// CtxFuncWriter); LockCtx's commitment point applies.
-func (l *SWRP) WriteCtx(ctx context.Context, cs func()) error {
-	t, err := l.LockCtx(ctx)
-	if err != nil {
-		return err
-	}
-	defer l.Unlock(t)
-	cs()
-	return nil
-}
-
-// RLock acquires the lock in read mode.
-func (l *SWRP) RLock() RToken { return l.core.readerLock() }
-
-// RUnlock releases read mode.
-func (l *SWRP) RUnlock(t RToken) { l.core.readerUnlock(t) }
-
-var _ RWLock = (*SWRP)(nil)
-var _ FuncWriter = (*SWRP)(nil)
-var _ TryRWLock = (*SWRP)(nil)
-var _ CtxRWLock = (*SWRP)(nil)
-var _ CtxFuncWriter = (*SWRP)(nil)

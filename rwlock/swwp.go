@@ -6,9 +6,10 @@ import (
 )
 
 // swwpCore is the shared-variable state and code of the paper's
-// Figure 1 single-writer multi-reader algorithm.  SWWP uses it
-// directly; MWSF wraps its writer side in Anderson's lock (Figure 3)
-// and MWWP threads it through the Figure 4 W-token handoff.  The
+// Figure 1 single-writer multi-reader algorithm.  SWWP and MWSF are
+// the transformation T over it (multi.go), with the single-writer
+// arbiter and the multi-writer arbitration layer as M; MWWP threads
+// it through the Figure 4 W-token handoff.  The
 // variables that distinct processes wait on are waitCells (one padded
 // word plus the wake seam of the chosen WaitStrategy); the counters,
 // which are only fetch&added and never waited on, stay plain padded
@@ -79,17 +80,28 @@ func (l *swwpCore) writerWaitingRoom(prev int32) {
 	l.ec.Add(-wwBit)
 }
 
+// writerLock is Figure 1 lines 2-12: the doorway, then the waiting
+// room.
+func (l *swwpCore) writerLock() WToken {
+	prev, cur := l.writerDoorway()
+	l.writerWaitingRoom(prev)
+	return WToken{prev: prev, cur: cur}
+}
+
 // writerExit is Figure 1 line 14: open the gate of the side the
 // writer used, releasing (and waking) the readers queued behind it.
 func (l *swwpCore) writerExit(cur int32) {
 	l.gate[cur].storeWake(cellTrue)
 }
 
+// writerUnlock is writerExit for the token writerLock returned.
+func (l *swwpCore) writerUnlock(t WToken) { l.writerExit(t.cur) }
+
 // writePassage runs one complete Figure 1 write passage — doorway,
 // waiting room, cs, exit — on the calling goroutine.  It is the
-// closure-path write: MWSF's combined batches run it once per record
-// while the combiner holds the arbitration mutex, so readers still
-// get their gate window between any two batched writes.
+// closure-path write: a combining MWSF's batches run it once per
+// record while the combiner holds the arbitration mutex, so readers
+// still get their gate window between any two batched writes.
 func (l *swwpCore) writePassage(cs func()) {
 	prev, cur := l.writerDoorway()
 	l.writerWaitingRoom(prev)
@@ -229,140 +241,14 @@ func (l *swwpCore) readerUnlock(t RToken) {
 // At most one goroutine may be between Lock and Unlock at a time BY
 // CONTRACT: this is the single-writer algorithm.  A second concurrent
 // Lock panics.  Use NewMWWP when multiple writers are possible.
-type SWWP struct {
-	core       swwpCore
-	writerBusy atomic.Bool
-}
+type SWWP struct{ tLock[swwpCore, *swwpCore] }
 
 // NewSWWP returns a ready-to-use single-writer writer-priority lock.
+// Its writer arbiter is the single-writer flag, so the writer
+// arbitration options (WithBoundedWriters, WithCombiningWriters) are
+// ignored.
 func NewSWWP(opts ...Option) *SWWP {
-	o := applyOptions(opts)
 	l := &SWWP{}
-	l.core.init(o.strategy, o.stats)
+	l.init(applyOptions(opts), &soleWriter{lock: "SWWP", multi: "NewMWWP"})
 	return l
 }
-
-// Lock acquires the lock in write mode.  It panics if another write
-// attempt is in progress (single-writer contract).
-func (l *SWWP) Lock() WToken {
-	if !l.writerBusy.CompareAndSwap(false, true) {
-		panic("rwlock: concurrent Lock on single-writer SWWP lock (use NewMWWP)")
-	}
-	prev, cur := l.core.writerDoorway()
-	l.core.writerWaitingRoom(prev)
-	if st := l.core.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return WToken{prev: prev, cur: cur}
-}
-
-// Unlock releases write mode.
-func (l *SWWP) Unlock(t WToken) {
-	l.core.writerExit(t.cur)
-	if !l.writerBusy.CompareAndSwap(true, false) {
-		panic("rwlock: Unlock of unlocked SWWP lock")
-	}
-}
-
-// Write runs cs in write mode (the closure path; see FuncWriter).
-// The single-writer contract applies: a concurrent write attempt
-// panics.
-func (l *SWWP) Write(cs func()) {
-	t := l.Lock()
-	defer l.Unlock(t)
-	cs()
-}
-
-// TryLock attempts write mode without blocking.  It fails when
-// another write attempt is in progress (where Lock would panic —
-// single-writer contract) or when any reader is registered.  The
-// availability probe and the doorway commit are not atomic: a reader
-// whose registration races into that window is drained by the
-// ordinary waiting room, so TryLock never waits on a writer but can
-// briefly wait out such a racing reader's passage.
-func (l *SWWP) TryLock() (WToken, bool) {
-	if !l.writerBusy.CompareAndSwap(false, true) {
-		if st := l.core.stats; st != nil {
-			st.TrySheds.Add(1)
-		}
-		return WToken{}, false
-	}
-	if !l.core.readersIdle() {
-		l.writerBusy.Store(false)
-		if st := l.core.stats; st != nil {
-			st.TrySheds.Add(1)
-		}
-		return WToken{}, false
-	}
-	prev, cur := l.core.writerDoorway()
-	l.core.writerWaitingRoom(prev)
-	if st := l.core.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return WToken{prev: prev, cur: cur}, true
-}
-
-// TryRLock attempts read mode without blocking; see
-// swwpCore.tryReaderLock for why the failure undo is clean.
-func (l *SWWP) TryRLock() (RToken, bool) { return l.core.tryReaderLock() }
-
-// LockCtx acquires write mode; cancellation wins only BEFORE the
-// doorway (the direction-bit toggle), Figure 1's point of no return —
-// past it the waiting room runs to completion regardless of ctx,
-// bounded by the passages of the readers already inside.  Like Lock,
-// it panics on a concurrent write attempt (single-writer contract).
-func (l *SWWP) LockCtx(ctx context.Context) (WToken, error) {
-	if err := ctx.Err(); err != nil {
-		if st := l.core.stats; st != nil {
-			st.CtxSheds.Add(1)
-		}
-		return WToken{}, err
-	}
-	if !l.writerBusy.CompareAndSwap(false, true) {
-		panic("rwlock: concurrent Lock on single-writer SWWP lock (use NewMWWP)")
-	}
-	if err := ctx.Err(); err != nil {
-		l.writerBusy.Store(false)
-		if st := l.core.stats; st != nil {
-			st.CtxSheds.Add(1)
-		}
-		return WToken{}, err
-	}
-	prev, cur := l.core.writerDoorway() // point of no return
-	l.core.writerWaitingRoom(prev)
-	if st := l.core.stats; st != nil {
-		st.WriteAcquires.Add(1)
-	}
-	return WToken{prev: prev, cur: cur}, nil
-}
-
-// RLockCtx acquires read mode, aborting the gate wait when ctx is
-// cancelled; an aborted reader retires through a zero-length read
-// passage, keeping the counts exact.
-func (l *SWWP) RLockCtx(ctx context.Context) (RToken, error) {
-	return l.core.readerLockCtx(ctx)
-}
-
-// WriteCtx runs cs in write mode unless ctx is cancelled first (see
-// CtxFuncWriter); LockCtx's commitment point applies.
-func (l *SWWP) WriteCtx(ctx context.Context, cs func()) error {
-	t, err := l.LockCtx(ctx)
-	if err != nil {
-		return err
-	}
-	defer l.Unlock(t)
-	cs()
-	return nil
-}
-
-// RLock acquires the lock in read mode.
-func (l *SWWP) RLock() RToken { return l.core.readerLock() }
-
-// RUnlock releases read mode.
-func (l *SWWP) RUnlock(t RToken) { l.core.readerUnlock(t) }
-
-var _ RWLock = (*SWWP)(nil)
-var _ FuncWriter = (*SWWP)(nil)
-var _ TryRWLock = (*SWWP)(nil)
-var _ CtxRWLock = (*SWWP)(nil)
-var _ CtxFuncWriter = (*SWWP)(nil)

@@ -2,9 +2,11 @@ package rwstats
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,16 +203,22 @@ func TestPrometheusHandler(t *testing.T) {
 	}
 }
 
+// expvarRuns numbers TestPublishExpvar's runs: expvar names are
+// process-global and cannot be unpublished, so each run under -count
+// needs a name of its own.
+var expvarRuns atomic.Int64
+
 func TestPublishExpvar(t *testing.T) {
 	r := NewRegistry()
 	st := &rwlock.LockStats{}
 	if err := r.RegisterLock("kv", st); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.PublishExpvar("rwsync_test_registry"); err != nil {
+	name := fmt.Sprintf("rwsync_test_registry_%d", expvarRuns.Add(1))
+	if err := r.PublishExpvar(name); err != nil {
 		t.Fatalf("PublishExpvar: %v", err)
 	}
-	if err := r.PublishExpvar("rwsync_test_registry"); err == nil {
+	if err := r.PublishExpvar(name); err == nil {
 		t.Fatal("duplicate PublishExpvar accepted")
 	}
 }
