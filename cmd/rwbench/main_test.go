@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -555,128 +554,6 @@ func TestValidateShardedFields(t *testing.T) {
 	stray := `{"lock":"MWSF","workers":8,"ops_per_sec":1,"stripes":4,"bytes_per_lock":16}`
 	if err := validateReport([]byte(scenarioReport(flatScenario, stray))); err == nil {
 		t.Error("validator accepted sharded columns on a flat scenario")
-	}
-}
-
-// TestRunScenarioAdaptiveGrid: the adaptive scenario renders the
-// promotion columns — budget, promo/demo counters, hot-set high
-// water, bytes high water — numerically on every data row (budget-0
-// baseline rows included), and -hotset narrows the budget axis.
-func TestRunScenarioAdaptiveGrid(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-quick", "-scenario", "adaptive-grid",
-		"-stripes", "4,16", "-skew", "1.07", "-hotset", "0,4",
-		"-locks", "SlimBravo"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, col := range []string{"hotset", "promo", "demo", "hot max", "B/lk hi", "hot rd/s"} {
-		if !strings.Contains(out, col) {
-			t.Fatalf("adaptive-grid table missing %q column:\n%s", col, out)
-		}
-	}
-	rows := 0
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "SlimBravo") {
-			continue
-		}
-		rows++
-		fields := strings.Fields(line)
-		// lock workers read% stripes zipf B/lock hotset promo demo hotmax B/lk-hi ...
-		if len(fields) < 11 {
-			t.Fatalf("adaptive row too short: %q", line)
-		}
-		if fields[6] != "0" && fields[6] != "4" {
-			t.Fatalf("row without overridden hot-set budget: %q", line)
-		}
-		for _, f := range fields[7:11] {
-			if _, err := strconv.ParseFloat(f, 64); err != nil {
-				t.Fatalf("non-numeric adaptive cell %q in row %q", f, line)
-			}
-		}
-	}
-	if rows != 4 { // 1 lock x 2 stripe counts x 2 budgets x 1 skew
-		t.Fatalf("adaptive-grid rendered %d data rows, want 4:\n%s", rows, out)
-	}
-}
-
-func TestRunScenarioAdaptiveGridJSONValidates(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-quick", "-json", "-scenario", "adaptive-grid",
-		"-stripes", "8", "-skew", "1.5", "-hotset", "0,4",
-		"-locks", "SlimEpoch"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateReport([]byte(b.String())); err != nil {
-		t.Fatalf("fresh adaptive-grid emission fails validation: %v", err)
-	}
-	for _, field := range []string{`"hot_sets"`, `"hot_set_budget"`, `"bytes_per_lock_high"`} {
-		if !strings.Contains(b.String(), field) {
-			t.Fatalf("adaptive-grid JSON missing %s:\n%s", field, b.String())
-		}
-	}
-}
-
-// TestRunRejectsHotsetElsewhere: -hotset must be rejected — naming the
-// adaptive scenarios — when the selection has no hot-set axis
-// (including sharded-but-not-adaptive scenarios and the classic
-// path), when the budget rides a non-Slim lock row, and when the
-// value parses to nothing.
-func TestRunRejectsHotsetElsewhere(t *testing.T) {
-	var b strings.Builder
-	for name, args := range map[string][]string{
-		"flat scenario": {"-scenario", "latency-grid", "-hotset", "4"},
-		"sharded-only":  {"-scenario", "zipf-grid", "-hotset", "4"},
-		"classic path":  {"-hotset", "4"},
-	} {
-		err := run(args, &b)
-		if err == nil || !strings.Contains(err.Error(), "adaptive-grid") {
-			t.Fatalf("%s: error = %v, want rejection listing adaptive scenarios", name, err)
-		}
-	}
-	if err := run([]string{"-scenario", "adaptive-grid", "-hotset", ","}, &b); err == nil ||
-		!strings.Contains(err.Error(), "selects no hot-set budgets") {
-		t.Fatalf("empty -hotset error = %v", err)
-	}
-	err := run([]string{"-quick", "-scenario", "adaptive-grid",
-		"-hotset", "4", "-locks", "sync.RWMutex"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "SlimBravo") {
-		t.Fatalf("non-Slim budget error = %v, want rejection listing Slim locks", err)
-	}
-}
-
-func TestValidateAdaptiveFields(t *testing.T) {
-	const adaptiveScenario = `{"name":"adaptive-grid","title":"t","cs_work":0,"think_work":0,` +
-		`"stripes":[4],"zipf_s":[1.07],"hot_sets":[0,4]}`
-	shared := `{"lock":"SlimBravo","workers":8,"read_fraction":0.9,"ops_per_sec":1,` +
-		`"read_ops":90,"write_ops":10,"stripes":4,"zipf_s":1.07,"bytes_per_lock":16,"hot_read_ops":40`
-	good := shared + `,"hot_set_budget":4,"promotions":3,"demotions":1,` +
-		`"hot_set_max":2,"bytes_per_lock_high":560}`
-	baseline := shared + `}`
-	for name, points := range map[string]string{
-		"budgeted point": good,
-		"baseline point": baseline,
-		"both":           good + "," + baseline,
-	} {
-		if err := validateReport([]byte(scenarioReport(adaptiveScenario, points))); err != nil {
-			t.Errorf("%s rejected: %v", name, err)
-		}
-	}
-	for name, point := range map[string]string{
-		"hot set over budget": shared + `,"hot_set_budget":4,"promotions":9,"demotions":1,` +
-			`"hot_set_max":5,"bytes_per_lock_high":560}`,
-		"demotions exceed promotions": shared + `,"hot_set_budget":4,"promotions":1,"demotions":2,` +
-			`"hot_set_max":1,"bytes_per_lock_high":560}`,
-		"promotions without high water": shared + `,"hot_set_budget":4,"promotions":3,` +
-			`"bytes_per_lock_high":560}`,
-		"bytes high water below cold": shared + `,"hot_set_budget":4,"promotions":3,"demotions":1,` +
-			`"hot_set_max":2,"bytes_per_lock_high":8}`,
-		"counters without budget": shared + `,"promotions":3,"demotions":1,` +
-			`"hot_set_max":2,"bytes_per_lock_high":560}`,
-	} {
-		if err := validateReport([]byte(scenarioReport(adaptiveScenario, point))); err == nil {
-			t.Errorf("%s: validator accepted %s", name, point)
-		}
 	}
 }
 

@@ -126,39 +126,6 @@ func validateScenarioResult(sr *harness.ScenarioResult) error {
 		} else if p.Stripes != 0 || p.ZipfS != 0 || p.BytesPerLock != 0 || p.HotReadOps != 0 {
 			return fmt.Errorf("scenario %s point %d: sharded columns without a stripe axis", sr.Scenario.Name, i)
 		}
-		// Adaptive-promotion bookkeeping (additive on the sharded
-		// columns): the counters exist exactly when the point ran with
-		// a hot-set budget.  On a budgeted point the maintainer's
-		// invariants must hold — the promoted-set high water respects
-		// the budget, a demotion implies an earlier promotion, and the
-		// bytes high water is at least the cold grid it sits on.  A
-		// budget-0 (or non-sharded) point carrying any adaptive
-		// counter means a producer billed promotion work to a baseline
-		// row.
-		if p.HotSetBudget > 0 {
-			if !sharded {
-				return fmt.Errorf("scenario %s point %d: hot-set budget without a stripe axis", sr.Scenario.Name, i)
-			}
-			if p.HotSetMax > p.HotSetBudget {
-				return fmt.Errorf("scenario %s point %d: hot_set_max %d over budget %d",
-					sr.Scenario.Name, i, p.HotSetMax, p.HotSetBudget)
-			}
-			if p.Demotions > p.Promotions {
-				return fmt.Errorf("scenario %s point %d: %d demotions exceed %d promotions",
-					sr.Scenario.Name, i, p.Demotions, p.Promotions)
-			}
-			if p.Promotions > 0 && p.HotSetMax <= 0 {
-				return fmt.Errorf("scenario %s point %d: %d promotions with hot_set_max %d",
-					sr.Scenario.Name, i, p.Promotions, p.HotSetMax)
-			}
-			if p.BytesPerLockHigh < p.BytesPerLock {
-				return fmt.Errorf("scenario %s point %d: bytes_per_lock_high %v below bytes_per_lock %v",
-					sr.Scenario.Name, i, p.BytesPerLockHigh, p.BytesPerLock)
-			}
-		} else if p.HotSetBudget != 0 || p.Promotions != 0 || p.Demotions != 0 ||
-			p.HotSetMax != 0 || p.BytesPerLockHigh != 0 {
-			return fmt.Errorf("scenario %s point %d: adaptive counters without a hot-set budget", sr.Scenario.Name, i)
-		}
 		// Deadline bookkeeping: shed counts exist exactly when the
 		// scenario ran with a write deadline, and the rate must agree
 		// with the counts it summarizes.

@@ -8,7 +8,6 @@ import (
 
 	"rwsync/internal/workload"
 	"rwsync/rwlock"
-	"rwsync/rwmap"
 )
 
 // ShardedLockNames is the default lock set of the sharded (serving
@@ -77,49 +76,11 @@ func measureBytesPerLock(build func() rwlock.RWLock, n int) float64 {
 	return per
 }
 
-// adaptiveProtocols maps the Slim lock registry names to the
-// promotion protocol an adaptive cell runs them under; only these
-// names may carry a hot-set budget (the adaptive Map owns the stripe
-// locks on both ends of the swap, and it builds Slim cold stripes).
-var adaptiveProtocols = map[string]rwmap.Protocol{
-	"SlimBravo": rwmap.PromoteBravo,
-	"SlimEpoch": rwmap.PromoteEpoch,
-}
-
-// AdaptiveScenarioNames returns the registered scenarios that sweep a
-// hot-set-budget axis, sorted lexically — the listing for the CLI's
-// "-hotset applies to no selected scenario" rejection.
-func AdaptiveScenarioNames() []string {
-	var names []string
-	for _, name := range ScenarioNames() {
-		if sc, ok := ScenarioByName(name); ok && len(sc.HotSets) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// measureHotWrapperBytes reports the marginal bytes of one promoted
-// full wrapper on the shared arena — what each occupied slot of the
-// hot-set budget costs beyond its stripe's Slim lock.  Measured on
-// the promotion constructors themselves so the number prices exactly
-// what promote builds.
-func measureHotWrapperBytes(proto rwmap.Protocol) float64 {
-	build := func() rwlock.RWLock { return rwlock.NewBravoShared(nil, nil) }
-	if proto == rwmap.PromoteEpoch {
-		build = func() rwlock.RWLock { return rwlock.NewEpochShared(nil, nil) }
-	}
-	return measureBytesPerLock(build, 256)
-}
-
 // runShardedScenario sweeps striped maps: every (lock, stripes, s)
 // cell is a fresh rwmap grid under workload.RunSharded, with the
 // lock's bytes/instance measured once per (lock, stripes) pair — a
 // standalone grid, built and released before the workload's own, so
-// the number is the lock's marginal cost, not the map's.  A HotSets
-// axis additionally sweeps adaptive promotion budgets (0 = adaptive
-// off) over the same cells.
+// the number is the lock's marginal cost, not the map's.
 func runShardedScenario(sc *Scenario, seed int64, metrics bool) ([]ScenarioPoint, error) {
 	if len(sc.Locks) == 0 {
 		sc.Locks = ShardedLockNames()
@@ -129,29 +90,6 @@ func runShardedScenario(sc *Scenario, seed int64, metrics bool) ([]ScenarioPoint
 		if builders[name] == nil {
 			return nil, fmt.Errorf("scenario %s: unknown lock %q (have %v)",
 				sc.Name, name, SortedLockNames())
-		}
-	}
-	hotSets := sc.HotSets
-	if len(hotSets) == 0 {
-		hotSets = []int{0}
-	}
-	for _, hs := range hotSets {
-		if hs < 0 {
-			return nil, fmt.Errorf("scenario %s: hot-set budget %d (need >= 0)", sc.Name, hs)
-		}
-		if hs == 0 {
-			continue
-		}
-		for _, name := range sc.Locks {
-			if _, ok := adaptiveProtocols[name]; !ok {
-				slim := make([]string, 0, len(adaptiveProtocols))
-				for n := range adaptiveProtocols {
-					slim = append(slim, n)
-				}
-				sort.Strings(slim)
-				return nil, fmt.Errorf("scenario %s: hot-set budget %d needs Slim lock rows (have %v), got %q",
-					sc.Name, hs, slim, name)
-			}
 		}
 	}
 	if len(sc.Workers) == 0 {
@@ -175,112 +113,70 @@ func runShardedScenario(sc *Scenario, seed int64, metrics bool) ([]ScenarioPoint
 	if len(skews) == 0 {
 		skews = []float64{0}
 	}
-	hotBytes := map[rwmap.Protocol]float64{}
 	var points []ScenarioPoint
 	for _, name := range sc.Locks {
 		build := builders[name]
 		for _, stripes := range sc.Stripes {
 			bpl := measureBytesPerLock(build, stripes)
-			for _, hs := range hotSets {
-				var ad *rwmap.AdaptiveConfig
-				if hs > 0 {
-					proto := adaptiveProtocols[name]
-					if _, done := hotBytes[proto]; !done {
-						hotBytes[proto] = measureHotWrapperBytes(proto)
-					}
-					// Measurement-friendly cadence: the library defaults
-					// (sample 1/64, 1024-sample windows) are tuned for
-					// long-lived servers; a bounded benchmark run wants
-					// promotion to land in the first few percent of the
-					// ops and at least a dozen demotion sweeps, so the
-					// steady promoted state is what gets measured rather
-					// than the cold start.
-					ad = &rwmap.AdaptiveConfig{
-						HotSet:      hs,
-						Protocol:    proto,
-						SampleEvery: 8,
-						WindowLen:   512,
-						PromoteAt:   4,
-					}
-				}
-				for _, s := range skews {
-					for _, w := range sc.Workers {
-						for _, f := range fractions {
-							// Instrumented cells get a fresh counter block
-							// shared by every stripe lock of the cell's
-							// grid, so the block aggregates the whole map.
-							// The bytes/lock measurement above keeps the
-							// plain constructor: its warm passages must not
-							// leak into the cell's counts.  Adaptive cells
-							// build their own Slim stripes (the factory is
-							// unused) and report the documented all-zero
-							// block — a Slim grid is observed through
-							// rwmap.Map.Stats, not the lock seam.
-							factory := build
-							var cellStats *rwlock.LockStats
-							if metrics {
-								cellStats = new(rwlock.LockStats)
-								factory = NativeLocksWith(rwlock.WithStats(cellStats))[name]
-							}
-							r := workload.RunSharded(workload.ShardedConfig{
-								Workers:      w,
-								ReadFraction: f,
-								OpsPerWorker: sc.OpsPerWorker,
-								Duration:     sc.Duration,
-								Stripes:      stripes,
-								Keys:         sc.Keys,
-								ZipfS:        s,
-								CSWork:       sc.CSWork,
-								ThinkWork:    sc.ThinkWork,
-								MixedOps:     sc.MixedOps,
-								Seed:         seed,
-								SampleEvery:  sc.SampleEvery,
-								MeasureAge:   sc.MeasureAge,
-								Yield:        sc.Yield,
-								LockFactory:  factory,
-								Adaptive:     ad,
-							})
-							p := ScenarioPoint{
-								Lock:         name,
-								Workers:      w,
-								ReadFraction: f,
-								Stripes:      stripes,
-								ZipfS:        s,
-								BytesPerLock: bpl,
-								OpsPerSec:    r.Throughput(),
-								ReadOps:      r.ReadOps,
-								WriteOps:     r.WriteOps,
-								HotReadOps:   r.HotReadOps,
-								ReadWait:     r.ReadWaitNs.Snapshot(),
-								ReadHold:     r.ReadHoldNs.Snapshot(),
-								ReadTotal:    r.ReadTotalNs.Snapshot(),
-								WriteWait:    r.WriteWaitNs.Snapshot(),
-								WriteHold:    r.WriteHoldNs.Snapshot(),
-								WriteTotal:   r.WriteTotalNs.Snapshot(),
-								Age:          r.AgeNs.Snapshot(),
-							}
-							if hs > 0 {
-								st := r.MapStats
-								p.HotSetBudget = hs
-								p.Promotions = st.Promotions
-								p.Demotions = st.Demotions
-								p.HotSetMax = st.HotSetMax
-								// Bytes/lock at the promotion high-water mark:
-								// every stripe pays the cold build, the hot-set
-								// peak pays one full wrapper each, amortized
-								// over the grid.
-								p.BytesPerLockHigh = bpl +
-									float64(st.HotSetMax)*hotBytes[adaptiveProtocols[name]]/float64(stripes)
-							}
-							if cellStats != nil {
-								snap := cellStats.Snapshot()
-								if err := checkCellCounters(&snap, sc.Name, name, r.ReadOps, r.WriteOps, 0); err != nil {
-									return nil, err
-								}
-								p.Counters = &snap
-							}
-							points = append(points, p)
+			for _, s := range skews {
+				for _, w := range sc.Workers {
+					for _, f := range fractions {
+						// Instrumented cells get a fresh counter block
+						// shared by every stripe lock of the cell's grid,
+						// so the block aggregates the whole map.  The
+						// bytes/lock measurement above keeps the plain
+						// constructor: its warm passages must not leak
+						// into the cell's counts.
+						factory := build
+						var cellStats *rwlock.LockStats
+						if metrics {
+							cellStats = new(rwlock.LockStats)
+							factory = NativeLocksWith(rwlock.WithStats(cellStats))[name]
 						}
+						r := workload.RunSharded(workload.ShardedConfig{
+							Workers:      w,
+							ReadFraction: f,
+							OpsPerWorker: sc.OpsPerWorker,
+							Duration:     sc.Duration,
+							Stripes:      stripes,
+							Keys:         sc.Keys,
+							ZipfS:        s,
+							CSWork:       sc.CSWork,
+							ThinkWork:    sc.ThinkWork,
+							MixedOps:     sc.MixedOps,
+							Seed:         seed,
+							SampleEvery:  sc.SampleEvery,
+							MeasureAge:   sc.MeasureAge,
+							Yield:        sc.Yield,
+							LockFactory:  factory,
+						})
+						p := ScenarioPoint{
+							Lock:         name,
+							Workers:      w,
+							ReadFraction: f,
+							Stripes:      stripes,
+							ZipfS:        s,
+							BytesPerLock: bpl,
+							OpsPerSec:    r.Throughput(),
+							ReadOps:      r.ReadOps,
+							WriteOps:     r.WriteOps,
+							HotReadOps:   r.HotReadOps,
+							ReadWait:     r.ReadWaitNs.Snapshot(),
+							ReadHold:     r.ReadHoldNs.Snapshot(),
+							ReadTotal:    r.ReadTotalNs.Snapshot(),
+							WriteWait:    r.WriteWaitNs.Snapshot(),
+							WriteHold:    r.WriteHoldNs.Snapshot(),
+							WriteTotal:   r.WriteTotalNs.Snapshot(),
+							Age:          r.AgeNs.Snapshot(),
+						}
+						if cellStats != nil {
+							snap := cellStats.Snapshot()
+							if err := checkCellCounters(&snap, sc.Name, name, r.ReadOps, r.WriteOps, 0); err != nil {
+								return nil, err
+							}
+							p.Counters = &snap
+						}
+						points = append(points, p)
 					}
 				}
 			}

@@ -62,13 +62,8 @@ type ShardedConfig struct {
 	// Yield yields after each op (see Config.Yield).
 	Yield bool
 	// LockFactory builds each stripe's lock; nil means rwmap's
-	// default (SlimBravo on the shared reader table).  Ignored when
-	// Adaptive is set (adaptive mode owns the stripe locks).
+	// default (SlimBravo on the shared reader table).
 	LockFactory func() rwlock.RWLock
-	// Adaptive, when non-nil, runs the map with adaptive hot-stripe
-	// promotion (rwmap.WithAdaptiveLocks); the promotion counters come
-	// back in ShardedResult.MapStats.
-	Adaptive *rwmap.AdaptiveConfig
 }
 
 // ShardedResult aggregates a sharded run.  The embedded Result's
@@ -79,9 +74,6 @@ type ShardedConfig struct {
 type ShardedResult struct {
 	Result
 	HotReadOps int64
-	// MapStats carries the adaptive promotion counters when the run
-	// was adaptive (MapStats.Adaptive true).
-	MapStats rwmap.MapStats
 }
 
 // RunSharded executes the serving-tier workload against a fresh
@@ -104,9 +96,7 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 	}
 
 	mopts := []rwmap.Option{rwmap.WithStripes(cfg.Stripes)}
-	if cfg.Adaptive != nil {
-		mopts = append(mopts, rwmap.WithAdaptiveLocks(*cfg.Adaptive))
-	} else if cfg.LockFactory != nil {
+	if cfg.LockFactory != nil {
 		mopts = append(mopts, rwmap.WithLockFactory(cfg.LockFactory))
 	}
 	m := rwmap.New[uint64, Cell](mopts...)
@@ -246,7 +236,6 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 			WriteTotalNs: new(stats.Histogram),
 		},
 		HotReadOps: hotReadOps.Load(),
-		MapStats:   m.Stats(),
 	}
 	if cfg.MeasureAge {
 		res.AgeNs = new(stats.Histogram)

@@ -109,47 +109,19 @@ func NewBravo(inner RWLock, opts ...Option) *Bravo {
 	if inner == nil {
 		inner = NewMWSF(opts...)
 	}
+	if _, ok := inner.(*Bravo); ok {
+		panic("rwlock: NewBravo applied to a *Bravo (nested BRAVO wrappers are not supported)")
+	}
 	tbl := o.sharedTable
 	if tbl == nil {
 		tbl = newReaderTable(0, o.strategy)
 	}
-	b := newBravoOn(tbl, inner)
-	b.stats = o.stats
-	return b
-}
-
-// newBravoOn is the resolved-form core shared by NewBravo and
-// NewBravoShared: every input is already a concrete value, so nothing
-// here forces an options struct (or anything else) to escape.
-func newBravoOn(tbl *ReaderTable, inner RWLock) *Bravo {
-	if _, ok := inner.(*Bravo); ok {
-		panic("rwlock: NewBravo applied to a *Bravo (nested BRAVO wrappers are not supported)")
-	}
-	b := &Bravo{slots: tbl, id: tbl.assignID(), inner: inner}
+	b := &Bravo{slots: tbl, id: tbl.assignID(), inner: inner, stats: o.stats}
 	_, b.innerCombines = CombinerStatsOf(inner)
 	// Start read-biased: the wrapper exists for read-mostly workloads,
 	// and the first writer revokes in one short scan regardless.
 	b.rbias.Store(true)
 	return b
-}
-
-// NewBravoShared is the promotion-path constructor: Bravo(inner) with
-// its fast-path readers published in the shared arena tbl (nil selects
-// DefaultReaderTable), equivalent to
-// NewBravo(inner, WithSharedReaderTable(tbl)) but with no variadic
-// options to resolve — a caller that builds wrappers on demand (the
-// rwmap serving tier promotes a stripe's lock whenever its traffic
-// crosses the threshold) pays only the wrapper allocation, not the
-// options-struct heap escape the zero-options fast path exists to
-// avoid.  A nil inner uses a fresh default MWSF.
-func NewBravoShared(tbl *ReaderTable, inner RWLock) *Bravo {
-	if tbl == nil {
-		tbl = DefaultReaderTable()
-	}
-	if inner == nil {
-		inner = NewMWSF()
-	}
-	return newBravoOn(tbl, inner)
 }
 
 // NewBravoMWSF returns Bravo(MWSF): the starvation-free Theorem 3 lock

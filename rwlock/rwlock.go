@@ -183,7 +183,7 @@
 // over expvar, Prometheus text format, and JSON, and adds a stall
 // watchdog.  The Slim locks and the classical baselines live outside
 // the seam: they accept the option but count nothing (observe a Slim
-// grid through rwmap.Map.Stats and rwmap.Map.Heatmap instead).
+// grid through rwmap.Map.Heatmap instead).
 package rwlock
 
 import "context"

@@ -73,7 +73,7 @@ const statsSampleEvery = 64
 // The Slim locks (NewSlimBravo/NewSlimEpoch) do NOT implement the
 // seam: their contract is a 16-byte footprint, and a stats pointer
 // would double it.  Observe a Slim grid one level up, through
-// rwmap.Map.Stats and its per-stripe heatmap.
+// rwmap.Map.Heatmap.
 type LockStats struct {
 	// Read-path line: bumped by every instrumented read acquisition.
 	ReadAcquires  atomic.Uint64 // completed read passages

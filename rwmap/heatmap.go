@@ -7,11 +7,10 @@ import (
 )
 
 // Per-stripe introspection: the heatmap snapshot the rwstats
-// exporters serve.  Map.Stats answers "how is the adaptive machinery
-// doing overall"; Heatmap answers "WHICH stripes are hot, what lock
-// is each running right now, and how big is its shard" — the view
-// that turns a promotion anomaly from a counter into a stripe index
-// you can correlate with a key.
+// exporters serve.  It answers "WHERE does the data live, and what
+// lock guards each stripe" — a stripe index you can correlate with a
+// key — which is how a Slim-lock grid is observed, since Slim locks
+// sit outside the rwlock stats seam.
 
 // StripeHeat describes one stripe of a Heatmap snapshot.
 type StripeHeat struct {
@@ -19,32 +18,19 @@ type StripeHeat struct {
 	// Entries is the shard's entry count, read under the stripe's read
 	// lock (consistent per stripe, like Len).
 	Entries int `json:"entries"`
-	// LockKind names the lock currently guarding the stripe
-	// ("SlimBravo", "Bravo", "Epoch", ... — "other" for an
-	// unrecognized WithLockFactory product).
+	// LockKind names the lock guarding the stripe ("SlimBravo",
+	// "Bravo", "Epoch", ... — "other" for an unrecognized
+	// WithLockFactory product).
 	LockKind string `json:"lock_kind"`
-	// Hot reports whether the stripe currently holds a promoted full
-	// wrapper (always false on a non-adaptive Map).
-	Hot bool `json:"hot"`
-	// SampledHits is the stripe's sampled traffic count within the
-	// window it was last touched in; Window is that window's tag.
-	// Both are zero on a non-adaptive Map (no traffic counters exist).
-	SampledHits uint32 `json:"sampled_hits"`
-	Window      uint32 `json:"window"`
 }
 
 // Heatmap is a point-in-time per-stripe view of a Map.
 type Heatmap struct {
-	Stripes  int  `json:"stripes"`
-	Adaptive bool `json:"adaptive"`
-	// Window is the decision window the sampler is currently in
-	// (sampled ops / WindowLen); stripes whose StripeHeat.Window lags
-	// it saw no sampled traffic since that older window.
-	Window uint64 `json:"window"`
+	Stripes int `json:"stripes"`
 	// Entries is the entry count summed over the REPORTED stripes
 	// only (all of them when top <= 0); use Len for the whole Map.
 	Entries int `json:"entries"`
-	// Top holds the hottest stripes, most-sampled first.
+	// Top holds the fullest stripes, most entries first.
 	Top []StripeHeat `json:"top"`
 }
 
@@ -74,83 +60,36 @@ func lockKind(l rwlock.RWLock) string {
 	}
 }
 
-// Heatmap snapshots the top hottest stripes.  On an adaptive Map heat
-// is the sampled in-window traffic count (current window first, then
-// previous windows by recency, then hits); on a non-adaptive Map —
-// which has no traffic counters — heat is the shard entry count, so
-// the view still ranks where the data lives.  top <= 0 or top >
+// Heatmap snapshots the top stripes ranked by entry count (ties by
+// index), so the view ranks where the data lives.  top <= 0 or top >
 // Stripes() means every stripe.
 //
-// Cost: on an adaptive Map, one atomic load per stripe to rank plus
-// one read acquisition per REPORTED stripe; on a non-adaptive Map the
-// entry-count ranking itself needs one read acquisition per stripe,
-// i.e. Len cost.  The grid is never locked at once — at most one
-// stripe lock is held at a time, like Range.  Safe for concurrent
-// use; the snapshot is per-stripe consistent.
+// Cost: one read acquisition per stripe, i.e. Len cost.  The grid is
+// never locked at once — at most one stripe lock is held at a time,
+// like Range.  Safe for concurrent use; the snapshot is per-stripe
+// consistent.
 func (m *Map[K, V]) Heatmap(top int) Heatmap {
 	n := len(m.stripes)
 	if top <= 0 || top > n {
 		top = n
 	}
-	h := Heatmap{Stripes: n, Adaptive: m.ad != nil}
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	heat := make([]StripeHeat, n)
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		t := s.lock.RLock()
+		entries := len(s.m)
+		s.lock.RUnlock(t)
+		heat[i] = StripeHeat{Index: i, Entries: entries, LockKind: lockKind(s.lock)}
 	}
-	var words []uint64
-	if a := m.ad; a != nil {
-		h.Window = a.sampled.Load() / a.windowLen
-		words = make([]uint64, n)
-		for i := range words {
-			words[i] = a.hits[i].Load()
-		}
-		// Recent window first, then more hits within the same window.
-		sort.Slice(order, func(x, y int) bool {
-			wx, wy := words[order[x]], words[order[y]]
-			if tx, ty := uint32(wx>>32), uint32(wy>>32); tx != ty {
-				return tx > ty
-			}
-			if cx, cy := uint32(wx), uint32(wy); cx != cy {
-				return cx > cy
-			}
-			return order[x] < order[y]
-		})
-	}
-
-	report := func(idx []int) []StripeHeat {
-		heat := make([]StripeHeat, 0, len(idx))
-		for _, i := range idx {
-			s := &m.stripes[i]
-			sl, t := s.rlock()
-			entries := len(s.m)
-			kind := lockKind(sl.lock)
-			hot := sl.hot
-			sl.lock.RUnlock(t)
-			h.Entries += entries
-			sh := StripeHeat{Index: i, Entries: entries, LockKind: kind, Hot: hot}
-			if words != nil {
-				sh.Window = uint32(words[i] >> 32)
-				sh.SampledHits = uint32(words[i])
-			}
-			heat = append(heat, sh)
-		}
-		return heat
-	}
-
-	if m.ad != nil {
-		h.Top = report(order[:top])
-		return h
-	}
-	// No traffic counters: rank by where the data lives, which means
-	// reading every stripe's entry count before cutting to top.
-	heat := report(order)
 	sort.Slice(heat, func(x, y int) bool {
 		if heat[x].Entries != heat[y].Entries {
 			return heat[x].Entries > heat[y].Entries
 		}
 		return heat[x].Index < heat[y].Index
 	})
-	h.Top = heat[:top]
+	h := Heatmap{Stripes: n, Top: heat[:top]}
+	for _, sh := range h.Top {
+		h.Entries += sh.Entries
+	}
 	return h
 }

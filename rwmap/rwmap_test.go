@@ -2,6 +2,7 @@ package rwmap
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,6 +146,60 @@ func TestLockOf(t *testing.T) {
 	m.Put("k", 1) // and the stripe still works after direct lock use
 }
 
+// TestGetOrCompute: sequential contract — miss fills and reports
+// loaded=false, hit returns the stored value without running fill.
+func TestGetOrCompute(t *testing.T) {
+	m := New[string, int](WithStripes(4))
+	calls := 0
+	v, loaded := m.GetOrCompute("a", func() int { calls++; return 42 })
+	if loaded || v != 42 || calls != 1 {
+		t.Fatalf("miss: got (%d,%v) after %d fills, want (42,false) after 1", v, loaded, calls)
+	}
+	v, loaded = m.GetOrCompute("a", func() int { calls++; return 99 })
+	if !loaded || v != 42 || calls != 1 {
+		t.Fatalf("hit: got (%d,%v) after %d fills, want (42,true) after 1", v, loaded, calls)
+	}
+	m.Put("a", 7)
+	if v, _ = m.GetOrCompute("a", func() int { calls++; return 0 }); v != 7 || calls != 1 {
+		t.Fatalf("hit after Put: got %d after %d fills, want 7 after 1", v, calls)
+	}
+}
+
+// TestGetOrComputeSingleFlight: of any set of concurrent callers for
+// one missing key, exactly one runs fill — the write-upgrade re-check
+// closes the Get-miss/Put lost-update window the two-acquisition
+// sequence has.
+func TestGetOrComputeSingleFlight(t *testing.T) {
+	t.Run("slim", func(t *testing.T) {
+		m := New[int, int](WithStripes(1))
+		var fills, start atomic.Int64
+		const callers = 16
+		var wg sync.WaitGroup
+		results := make([]int, callers)
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Add(1)
+				for start.Load() < callers { // line everyone up on the miss
+				}
+				results[i], _ = m.GetOrCompute(0, func() int {
+					return int(fills.Add(1)) * 1000
+				})
+			}()
+		}
+		wg.Wait()
+		if fills.Load() != 1 {
+			t.Fatalf("fill ran %d times for one missing key, want 1", fills.Load())
+		}
+		for i, r := range results {
+			if r != 1000 {
+				t.Fatalf("caller %d got %d, want the single fill's 1000", i, r)
+			}
+		}
+	})
+}
+
 // mapFactories is the lock-factory matrix the concurrency tests run
 // over: the slim default, both full fast-path wrappers (one on a
 // shared arena), a flat-combining lock (Update batches through its
@@ -158,6 +213,53 @@ func mapFactories() map[string]Option {
 		"Epoch":             WithLockFactory(func() rwlock.RWLock { return rwlock.NewEpochMWSF() }),
 		"MWSF-combine":      WithLockFactory(func() rwlock.RWLock { return rwlock.NewMWSF(rwlock.WithCombiningWriters()) }),
 		"MWSF":              WithLockFactory(func() rwlock.RWLock { return rwlock.NewMWSF() }),
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestServingPathAllocs pins the serving-tier hot paths at zero
+// allocations on the default build ("slim") and on every
+// non-combining row of mapFactories.  A combining stripe lock is left
+// out: it ships each write to the combiner as a heap closure by
+// design.
+func TestServingPathAllocs(t *testing.T) {
+	update := func(v int, ok bool) (int, bool) { return v + 1, true }
+	read := func(v int, ok bool) {}
+	fill := func() int { return 0 }
+	builds := map[string][]Option{"slim": nil}
+	for name, opt := range mapFactories() {
+		if name != "MWSF-combine" {
+			builds[name] = []Option{opt}
+		}
+	}
+	for name, opts := range builds {
+		t.Run(name, func(t *testing.T) {
+			m := New[int, int](append([]Option{WithStripes(8)}, opts...)...)
+			m.Put(1, 0)
+			// Exactly zero in a normal build.  Under -race the private
+			// Epoch wrapper leases its read stamp slots from sync.Pool,
+			// which drops some Puts on purpose, and a dropped slot is
+			// re-registered with a few mallocs; rwlock's
+			// TestEpochFastReadZeroAlloc allows the same 3.
+			limit := 0.0
+			if raceEnabled && name == "Epoch" {
+				limit = 3
+			}
+			for op, f := range map[string]func(){
+				"Get":              func() { m.Get(1) },
+				"Read":             func() { m.Read(1, read) },
+				"Put":              func() { m.Put(1, 1) },
+				"Delete":           func() { m.Put(2, 0); m.Delete(2) }, // a present key each run
+				"Update":           func() { m.Update(1, update) },
+				"GetOrCompute hit": func() { m.GetOrCompute(1, fill) },
+			} {
+				if n := testing.AllocsPerRun(200, f); n > limit {
+					t.Errorf("%s: %v allocs/op, want at most %v", op, n, limit)
+				}
+			}
+		})
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // The rwlock package's WithStats seam fills a per-lock
 // rwlock.LockStats block with always-coherent atomic counters, and
-// rwmap.Map.Heatmap snapshots per-stripe traffic; this package is the
-// delivery layer over both:
+// rwmap.Map.Heatmap snapshots each stripe's entry count and lock
+// kind; this package is the delivery layer over both:
 //
 //   - Registry names the sources: RegisterLock attaches a LockStats
 //     block under a name, RegisterMap attaches anything with a
@@ -22,8 +22,9 @@
 //     progress).  No goroutine exists until StartWatchdog, and Stop
 //     tears it down.
 //
-// Every snapshot is taken with one atomic load per counter while
-// traffic runs; serving a scrape never stops the locks.  The package
+// Every lock snapshot is taken with one atomic load per counter while
+// traffic runs, and a map's heatmap takes one stripe read lock at a
+// time; serving a scrape never stops the locks.  The package
 // depends only on the standard library and the sibling rwsync
 // packages.
 package rwstats
