@@ -281,12 +281,12 @@ func BenchmarkReadHeavy(b *testing.B) {
 
 // BenchmarkOversubscribed is the waiting-layer experiment (E12): 64
 // workers on GOMAXPROCS=2 — goroutines 32× the processors, the regime
-// real services run in — comparing each constant-RMR lock's SpinYield
-// build against its SpinThenPark ("/park") build, with sync.RWMutex
-// (whose waiters always park in the runtime) as the reference.  The
-// headline is ops/s: spinning waiters burn whole scheduler quanta the
-// lock holder needs, so /park must win here, and by a wide margin at
-// the 90% read mix where writers constantly close the gates.
+// real services run in — running the constant-RMR locks, whose waits
+// spin briefly and then park, against sync.RWMutex, whose waiters park
+// in the runtime at once.  The headline is ops/s: a waiter that kept
+// spinning would burn whole scheduler quanta the lock holder needs,
+// most of all at the 90% read mix where writers constantly close the
+// gates.
 //
 //	GOMAXPROCS is pinned inside each sub-benchmark; run with e.g.
 //	go test -bench Oversubscribed -benchtime 100000x

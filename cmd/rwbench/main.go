@@ -22,18 +22,17 @@
 //
 // -locks restricts any sweep to a comma-separated subset of the lock
 // registry, e.g. `-locks "MWSF,Bravo(MWSF),sync.RWMutex"` to isolate
-// the BRAVO fast path's effect against its own inner lock.  The
-// registry includes "/park" variants of every lock (e.g. "MWSF/park")
-// that wait with rwlock.SpinThenPark instead of the default spinning,
-// "/bounded" variants of the multi-writer locks (e.g. "MWSF/bounded",
-// "MWSF/bounded/park") that serialize writers through the bounded
+// the BRAVO fast path's effect against its own inner lock.  Every
+// registry lock waits the same way (spin briefly, then park).  The
+// registry includes "/bounded" variants of the multi-writer locks
+// (e.g. "MWSF/bounded") that serialize writers through the bounded
 // Anderson array (rwlock.WithBoundedWriters) instead of the default
-// unbounded MCS queue, and "/combine" variants (e.g. "MWSF/combine",
-// "MWSF/combine/park") that batch closure-path writes through the
-// flat-combining arbiter (rwlock.WithCombiningWriters) — the
-// "writer-churn" and "combine-batch" scenarios compare the three
-// arbitrations under thousands of one-shot writers, the latter also
-// reporting the combiner's batch-size distribution, and the
+// unbounded MCS queue, and "/combine" variants (e.g. "MWSF/combine")
+// that batch closure-path writes through the flat-combining arbiter
+// (rwlock.WithCombiningWriters) — the "writer-churn" and
+// "combine-batch" scenarios compare the three arbitrations under
+// thousands of one-shot writers, the latter also reporting the
+// combiner's batch-size distribution, and the
 // "writer-shed" scenario reruns the churn with a per-write deadline
 // through LockCtx, reporting the shed rate (writes abandoned at
 // deadline) against the writer-wait tail the survivors pay.
@@ -52,10 +51,9 @@
 // -oversub adds the oversubscription experiment: GOMAXPROCS is pinned
 // to -oversub-gomaxprocs (default 2) for the sweep's duration so the
 // workers genuinely oversubscribe even on big machines, the regime
-// where the /park variants earn their keep.  Unless -locks narrows
-// the sweep explicitly, the oversubscription table uses the spin-vs-
-// park comparison set (harness.OversubLockNames) rather than the
-// spin-only E7 default.  (The "oversub" scenario is the same
+// where spinning waiters would burn the lock holder's quanta.  Unless
+// -locks narrows the sweep explicitly, the oversubscription table uses
+// harness.OversubLockNames rather than the E7 default.  (The "oversub" scenario is the same
 // experiment through the registry.)
 //
 // -metrics instruments every native and sharded scenario cell with a
@@ -164,7 +162,7 @@ func run(args []string, out io.Writer) error {
 	ops := fs.Int("ops", 20000, "operations per worker")
 	seed := fs.Int64("seed", 1, "workload seed")
 	workersFlag := fs.String("workers", "", "comma-separated worker counts (default 1,2,4,..,2*NumCPU)")
-	locksFlag := fs.String("locks", "", "comma-separated lock names to sweep (default: all spin locks; /park variants available)")
+	locksFlag := fs.String("locks", "", "comma-separated lock names to sweep (default: the paper's locks, their Bravo builds and the baselines; /bounded, /combine and /epoch builds available)")
 	scenarioFlag := fs.String("scenario", "", "comma-separated scenario names, or \"all\" (default: classic throughput+priority pair)")
 	markdown := fs.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 	jsonOut := fs.Bool("json", false, "emit one JSON object instead of tables")
@@ -374,8 +372,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The spin-vs-park comparison set by default; an explicit
-		// -locks narrows the oversub sweep like every other sweep.
+		// OversubLockNames by default; an explicit -locks narrows the
+		// oversub sweep like every other sweep.
 		oversubLocks := harness.OversubLockNames()
 		if len(requested) > 0 {
 			oversubLocks = lockNames

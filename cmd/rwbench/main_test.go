@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -94,26 +95,40 @@ func TestRunUnknownLock(t *testing.T) {
 	}
 }
 
-func TestRunParkVariantSelectable(t *testing.T) {
+// hasRow reports whether some line of a table starts with the lock
+// name as its first field, so "MWSF" is not satisfied by a
+// "MWSF/bounded" row.
+func hasRow(out, name string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == name {
+			return true
+		}
+	}
+	return false
+}
+
+func TestRunEpochVariantSelectable(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",
-		"-locks", "MWSF,MWSF/park"}, &b); err != nil {
+		"-locks", "MWSF,MWSF/epoch"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "MWSF/park") {
-		t.Fatalf("park variant missing from sweep:\n%s", b.String())
+	for _, name := range []string{"MWSF", "MWSF/epoch"} {
+		if !hasRow(b.String(), name) {
+			t.Fatalf("row %s missing from sweep:\n%s", name, b.String())
+		}
 	}
 }
 
 func TestRunBoundedVariantSelectable(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",
-		"-locks", "MWSF,MWSF/bounded,MWSF/bounded/park"}, &b); err != nil {
+		"-locks", "MWSF,MWSF/bounded"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"MWSF/bounded", "MWSF/bounded/park"} {
-		if !strings.Contains(b.String(), name) {
-			t.Fatalf("bounded variant %s missing from sweep:\n%s", name, b.String())
+	for _, name := range []string{"MWSF", "MWSF/bounded"} {
+		if !hasRow(b.String(), name) {
+			t.Fatalf("row %s missing from sweep:\n%s", name, b.String())
 		}
 	}
 }
@@ -124,10 +139,14 @@ func TestRunScenarioWriterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"writer churn", "MWSF/park", "MWSF/bounded/park",
-		"MWSF/combine/park", "sync.RWMutex", "wr wait p99", "batch p99"} {
+	for _, want := range []string{"writer churn", "wr wait p99", "batch p99"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("writer-churn output missing %q:\n%s", want, out)
+		}
+	}
+	for _, name := range harness.ChurnLockNames() {
+		if !hasRow(out, name) {
+			t.Fatalf("writer-churn output missing row %s:\n%s", name, out)
 		}
 	}
 }
@@ -135,12 +154,12 @@ func TestRunScenarioWriterChurn(t *testing.T) {
 func TestRunCombineVariantSelectable(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",
-		"-locks", "MWSF,MWSF/combine,MWSF/combine/park"}, &b); err != nil {
+		"-locks", "MWSF,MWSF/combine"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"MWSF/combine", "MWSF/combine/park"} {
-		if !strings.Contains(b.String(), name) {
-			t.Fatalf("combine variant %s missing from sweep:\n%s", name, b.String())
+	for _, name := range []string{"MWSF", "MWSF/combine"} {
+		if !hasRow(b.String(), name) {
+			t.Fatalf("row %s missing from sweep:\n%s", name, b.String())
 		}
 	}
 }
@@ -151,11 +170,15 @@ func TestRunScenarioCombineBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"flat-combining batches", "MWSF/park",
-		"MWSF/bounded/park", "MWSF/combine/park", "sync.RWMutex",
+	for _, want := range []string{"flat-combining batches",
 		"batch p50", "batch p99", "batch max", "age p50"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("combine-batch output missing %q:\n%s", want, out)
+		}
+	}
+	for _, name := range harness.ChurnLockNames() {
+		if !hasRow(out, name) {
+			t.Fatalf("combine-batch output missing row %s:\n%s", name, out)
 		}
 	}
 }
@@ -181,7 +204,7 @@ func TestRunJSONOutput(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-json",
 		"-oversub", "-oversub-workers", "8", "-oversub-duration", "20ms",
-		"-locks", "MWSF,MWSF/park,sync.RWMutex"}, &b); err != nil {
+		"-locks", "MWSF,Bravo(MWSF),sync.RWMutex"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	var rep report
@@ -427,7 +450,7 @@ func TestRunOversubTable(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "1",
 		"-oversub", "-oversub-workers", "8", "-oversub-duration", "20ms",
-		"-locks", "MWSF,MWSF/park"}, &b); err != nil {
+		"-locks", "MWSF,sync.RWMutex"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "E12: oversubscribed throughput") {
@@ -557,7 +580,7 @@ func TestValidateShardedFields(t *testing.T) {
 	}
 }
 
-func TestRunOversubDefaultsToParkComparison(t *testing.T) {
+func TestRunOversubDefaultLocks(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "1", "-json",
 		"-oversub", "-oversub-workers", "8", "-oversub-duration", "20ms"}, &b); err != nil {
@@ -567,16 +590,10 @@ func TestRunOversubDefaultsToParkComparison(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
 		t.Fatal(err)
 	}
-	// Without -locks, the oversub sweep must use the spin-vs-park set,
-	// not the spin-only E7 default.
-	park := 0
-	for _, p := range rep.Oversubscribed {
-		if strings.HasSuffix(p.Lock, "/park") {
-			park++
-		}
-	}
-	if park == 0 {
-		t.Fatalf("default -oversub sweep has no /park variants: %v", rep.OversubLocks)
+	// Without -locks, the oversub sweep must use its own set, not the
+	// E7 default.
+	if want := harness.OversubLockNames(); !slices.Equal(rep.OversubLocks, want) {
+		t.Fatalf("default -oversub locks = %v, want %v", rep.OversubLocks, want)
 	}
 	if rep.OversubGOMAXPROCS != 2 {
 		t.Fatalf("oversub GOMAXPROCS = %d, want pinned 2", rep.OversubGOMAXPROCS)

@@ -12,11 +12,9 @@
 // default, the paper's bounded Anderson array via
 // rwlock.WithBoundedWriters, and a flat-combining batcher via
 // rwlock.WithCombiningWriters that retires whole batches of
-// closure-path writes per lock handoff), and a pluggable waiting layer
-// (rwlock.WithWaitStrategy) that realizes every wait either as the
-// paper's cooperative busy-wait (SpinYield) or as bounded spinning
-// followed by parking (SpinThenPark, for the oversubscribed regime
-// where goroutines outnumber GOMAXPROCS).
+// closure-path writes per lock handoff), and one waiting layer that
+// realizes each of the paper's busy-waits as bounded spinning on a
+// locally cached word followed by parking the goroutine.
 //
 // The internal packages form the research substrate: a
 // cache-coherent-machine simulator with exact RMR accounting

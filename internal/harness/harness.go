@@ -135,10 +135,8 @@ const boundedWriters = 64
 // NativeLocks returns the named native lock constructors used in the
 // throughput and priority experiments.  The Bravo(...) entries wrap
 // the paper's multi-writer locks in the BRAVO sharded reader fast path
-// (arXiv:1810.01553), the repo's reader-scalability layer.  The
-// "/park" entries are the same locks with the SpinThenPark wait
-// strategy — the oversubscription configuration; sync.RWMutex needs
-// no variant because its waiters always park in the runtime.  The
+// (arXiv:1810.01553), the repo's reader-scalability layer.  Every
+// entry waits the package's one way (spin briefly, then park).  The
 // multi-writer locks default to the unbounded MCS writer arbitration;
 // the "/bounded" entries select the Anderson array capped at
 // boundedWriters concurrent write attempts (rwlock.WithBoundedWriters)
@@ -162,15 +160,14 @@ func NativeLocks() map[string]func() rwlock.RWLock { return NativeLocksWith() }
 // NativeLocksWith is NativeLocks with extra options appended to every
 // constructor — the seam the -metrics runs use to hand each measured
 // cell's locks one rwlock.WithStats counter block.  Three registry
-// rows sit outside the stats seam by design and silently ignore a
-// WithStats extra: the Slim locks (a per-instance stats pointer would
-// double the 16-byte footprint — observe a Slim grid through
-// rwmap.Map.Heatmap instead), the classical baselines (they model the
-// literature's algorithms, not this package's layers), and
-// sync.RWMutex (no constructor options at all).  Their instrumented
-// cells report an all-zero counter block.
+// rows sit outside the stats seam by design: the Slim locks silently
+// ignore a WithStats extra (a per-instance stats pointer would double
+// the 16-byte footprint — observe a Slim grid through
+// rwmap.Map.Heatmap instead), and the classical baselines (they model
+// the literature's algorithms, not this package's layers) and
+// sync.RWMutex take no constructor options at all.  Their
+// instrumented cells report an all-zero counter block.
 func NativeLocksWith(extra ...rwlock.Option) map[string]func() rwlock.RWLock {
-	park := rwlock.WithWaitStrategy(rwlock.SpinThenPark)
 	bound := rwlock.WithBoundedWriters(boundedWriters)
 	comb := rwlock.WithCombiningWriters()
 	shared := rwlock.WithSharedReaderTable(rwlock.DefaultReaderTable())
@@ -182,54 +179,35 @@ func NativeLocksWith(extra ...rwlock.Option) map[string]func() rwlock.RWLock {
 		"MWSF":               func() rwlock.RWLock { return rwlock.NewMWSF(opt()...) },
 		"MWRP":               func() rwlock.RWLock { return rwlock.NewMWRP(opt()...) },
 		"MWWP":               func() rwlock.RWLock { return rwlock.NewMWWP(opt()...) },
-		"MWSF/park":          func() rwlock.RWLock { return rwlock.NewMWSF(opt(park)...) },
-		"MWRP/park":          func() rwlock.RWLock { return rwlock.NewMWRP(opt(park)...) },
-		"MWWP/park":          func() rwlock.RWLock { return rwlock.NewMWWP(opt(park)...) },
 		"MWSF/bounded":       func() rwlock.RWLock { return rwlock.NewMWSF(opt(bound)...) },
 		"MWRP/bounded":       func() rwlock.RWLock { return rwlock.NewMWRP(opt(bound)...) },
 		"MWWP/bounded":       func() rwlock.RWLock { return rwlock.NewMWWP(opt(bound)...) },
-		"MWSF/bounded/park":  func() rwlock.RWLock { return rwlock.NewMWSF(opt(bound, park)...) },
-		"MWRP/bounded/park":  func() rwlock.RWLock { return rwlock.NewMWRP(opt(bound, park)...) },
-		"MWWP/bounded/park":  func() rwlock.RWLock { return rwlock.NewMWWP(opt(bound, park)...) },
 		"MWSF/combine":       func() rwlock.RWLock { return rwlock.NewMWSF(opt(comb)...) },
 		"MWRP/combine":       func() rwlock.RWLock { return rwlock.NewMWRP(opt(comb)...) },
 		"MWWP/combine":       func() rwlock.RWLock { return rwlock.NewMWWP(opt(comb)...) },
-		"MWSF/combine/park":  func() rwlock.RWLock { return rwlock.NewMWSF(opt(comb, park)...) },
-		"MWRP/combine/park":  func() rwlock.RWLock { return rwlock.NewMWRP(opt(comb, park)...) },
-		"MWWP/combine/park":  func() rwlock.RWLock { return rwlock.NewMWWP(opt(comb, park)...) },
 		"MWSF/epoch":         func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt()...) },
 		"MWRP/epoch":         func() rwlock.RWLock { return rwlock.NewEpochMWRP(opt()...) },
 		"MWWP/epoch":         func() rwlock.RWLock { return rwlock.NewEpochMWWP(opt()...) },
-		"MWSF/epoch/park":    func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt(park)...) },
-		"MWRP/epoch/park":    func() rwlock.RWLock { return rwlock.NewEpochMWRP(opt(park)...) },
-		"MWWP/epoch/park":    func() rwlock.RWLock { return rwlock.NewEpochMWWP(opt(park)...) },
 		"MWSF/epoch/lazy8":   func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt(rwlock.WithEpochReclaimEvery(8))...) },
 		"MWSF/epoch/lazy64":  func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt(rwlock.WithEpochReclaimEvery(64))...) },
 		"Bravo(MWSF)":        func() rwlock.RWLock { return rwlock.NewBravoMWSF(opt()...) },
 		"Bravo(MWRP)":        func() rwlock.RWLock { return rwlock.NewBravoMWRP(opt()...) },
 		"Bravo(MWWP)":        func() rwlock.RWLock { return rwlock.NewBravoMWWP(opt()...) },
-		"Bravo(MWSF)/park":   func() rwlock.RWLock { return rwlock.NewBravoMWSF(opt(park)...) },
-		"Bravo(MWRP)/park":   func() rwlock.RWLock { return rwlock.NewBravoMWRP(opt(park)...) },
-		"Bravo(MWWP)/park":   func() rwlock.RWLock { return rwlock.NewBravoMWWP(opt(park)...) },
 		"Bravo(MWSF)/shared": func() rwlock.RWLock { return rwlock.NewBravoMWSF(opt(shared)...) },
 		"MWSF/epoch/shared":  func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt(shared)...) },
 		"SlimBravo":          func() rwlock.RWLock { return rwlock.NewSlimBravo(opt()...) },
 		"SlimEpoch":          func() rwlock.RWLock { return rwlock.NewSlimEpoch(opt()...) },
-		"CentralizedRW":      func() rwlock.RWLock { return rwlock.NewCentralizedRW(opt()...) },
-		"CentralizedRW/park": func() rwlock.RWLock { return rwlock.NewCentralizedRW(opt(park)...) },
-		"PhaseFairRW":        func() rwlock.RWLock { return rwlock.NewPhaseFairRW(opt()...) },
-		"PhaseFairRW/park":   func() rwlock.RWLock { return rwlock.NewPhaseFairRW(opt(park)...) },
-		"TaskFairRW":         func() rwlock.RWLock { return rwlock.NewTaskFairRW(opt()...) },
-		"TaskFairRW/park":    func() rwlock.RWLock { return rwlock.NewTaskFairRW(opt(park)...) },
+		"CentralizedRW":      func() rwlock.RWLock { return rwlock.NewCentralizedRW() },
+		"PhaseFairRW":        func() rwlock.RWLock { return rwlock.NewPhaseFairRW() },
+		"TaskFairRW":         func() rwlock.RWLock { return rwlock.NewTaskFairRW() },
 		"sync.RWMutex":       func() rwlock.RWLock { return rwlock.NewRWMutexLock() },
 	}
 }
 
 // LockNames returns the canonical presentation order of the DEFAULT
-// sweep: the spin-strategy locks, as before this PR.  The "/park"
-// registry entries are opt-in (AllLockNames, or -locks on rwbench):
-// doubling every default table would bury the spin-vs-spin
-// comparisons the paper's experiments are about.
+// sweep: the paper's three multi-writer locks, each bare and under
+// Bravo, then the baselines.  The arbitration, epoch and serving-tier
+// builds are opt-in (AllLockNames, or -locks on rwbench).
 func LockNames() []string {
 	return []string{
 		"MWSF", "Bravo(MWSF)",
@@ -240,28 +218,19 @@ func LockNames() []string {
 }
 
 // AllLockNames returns every registry entry in presentation order:
-// each spin lock followed by its /park variant, with the multi-writer
-// locks' bounded-arbitration ("/bounded") and flat-combining
-// ("/combine") builds alongside.
+// each multi-writer lock followed by its bounded-arbitration
+// ("/bounded"), flat-combining ("/combine") and reader fast-path
+// builds.
 func AllLockNames() []string {
 	return []string{
-		"MWSF", "MWSF/park", "MWSF/bounded", "MWSF/bounded/park",
-		"MWSF/combine", "MWSF/combine/park",
-		"MWSF/epoch", "MWSF/epoch/park", "MWSF/epoch/lazy8", "MWSF/epoch/lazy64",
+		"MWSF", "MWSF/bounded", "MWSF/combine",
+		"MWSF/epoch", "MWSF/epoch/lazy8", "MWSF/epoch/lazy64",
 		"MWSF/epoch/shared",
-		"Bravo(MWSF)", "Bravo(MWSF)/park", "Bravo(MWSF)/shared",
+		"Bravo(MWSF)", "Bravo(MWSF)/shared",
 		"SlimBravo", "SlimEpoch",
-		"MWRP", "MWRP/park", "MWRP/bounded", "MWRP/bounded/park",
-		"MWRP/combine", "MWRP/combine/park",
-		"MWRP/epoch", "MWRP/epoch/park",
-		"Bravo(MWRP)", "Bravo(MWRP)/park",
-		"MWWP", "MWWP/park", "MWWP/bounded", "MWWP/bounded/park",
-		"MWWP/combine", "MWWP/combine/park",
-		"MWWP/epoch", "MWWP/epoch/park",
-		"Bravo(MWWP)", "Bravo(MWWP)/park",
-		"CentralizedRW", "CentralizedRW/park",
-		"PhaseFairRW", "PhaseFairRW/park",
-		"TaskFairRW", "TaskFairRW/park",
+		"MWRP", "MWRP/bounded", "MWRP/combine", "MWRP/epoch", "Bravo(MWRP)",
+		"MWWP", "MWWP/bounded", "MWWP/combine", "MWWP/epoch", "Bravo(MWWP)",
+		"CentralizedRW", "PhaseFairRW", "TaskFairRW",
 		"sync.RWMutex",
 	}
 }
@@ -277,33 +246,27 @@ func SortedLockNames() []string {
 }
 
 // OversubLockNames is the default lock set of the oversubscription
-// sweep: each constant-RMR discipline spin vs park, with sync.RWMutex
-// as the always-parking baseline.
+// sweep: the starvation-free and writer-priority disciplines, the
+// Bravo fast path, and sync.RWMutex, whose waiters park at once.
 func OversubLockNames() []string {
-	return []string{
-		"MWSF", "MWSF/park", "Bravo(MWSF)", "Bravo(MWSF)/park",
-		"MWWP", "MWWP/park",
-		"sync.RWMutex",
-	}
+	return []string{"MWSF", "Bravo(MWSF)", "MWWP", "sync.RWMutex"}
 }
 
 // ChurnLockNames is the lock set of the writer-churn scenario: the
 // unbounded MCS arbitration vs the bounded Anderson arbitration vs
-// the flat combiner (all parking — the churn oversubscribes by
-// construction) vs the runtime baseline.  All three writerMutex
+// the flat combiner vs the runtime baseline.  All three writerMutex
 // implementations over the same core, so the writer-wait tail
 // isolates the arbitration layer.
 func ChurnLockNames() []string {
 	return []string{
-		"MWSF/park", "MWSF/bounded/park", "MWSF/combine/park",
-		"sync.RWMutex",
+		"MWSF", "MWSF/bounded", "MWSF/combine", "sync.RWMutex",
 	}
 }
 
 // SelectLockNames validates and canonicalizes a lock-name subset: it
 // returns the requested names in AllLockNames order, or an error
 // naming the unknown entry.  An empty request selects the default
-// (spin) locks.
+// locks (LockNames).
 func SelectLockNames(requested []string) ([]string, error) {
 	if len(requested) == 0 {
 		return LockNames(), nil

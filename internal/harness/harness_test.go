@@ -160,13 +160,13 @@ func TestSortedNameLists(t *testing.T) {
 	}
 }
 
-func TestSelectLockNamesParkVariants(t *testing.T) {
-	got, err := SelectLockNames([]string{"MWSF/park", "MWSF"})
+func TestSelectLockNamesCanonicalOrder(t *testing.T) {
+	got, err := SelectLockNames([]string{"MWSF/bounded", "MWSF"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != "MWSF" || got[1] != "MWSF/park" {
-		t.Fatalf("SelectLockNames = %v, want canonical [MWSF MWSF/park]", got)
+	if len(got) != 2 || got[0] != "MWSF" || got[1] != "MWSF/bounded" {
+		t.Fatalf("SelectLockNames = %v, want canonical [MWSF MWSF/bounded]", got)
 	}
 	if _, err := SelectLockNames(nil); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSelectLockNamesParkVariants(t *testing.T) {
 }
 
 func TestOversubscribedSweep(t *testing.T) {
-	pts := OversubscribedSweepLocks([]string{"MWSF/park", "sync.RWMutex"},
+	pts := OversubscribedSweepLocks([]string{"MWSF", "sync.RWMutex"},
 		[]int{16}, []float64{0.9}, 20*time.Millisecond, 1)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
@@ -188,8 +188,8 @@ func TestOversubscribedSweep(t *testing.T) {
 		}
 	}
 	out := ThroughputTable("oversub", pts).Render()
-	if !strings.Contains(out, "MWSF/park") {
-		t.Fatalf("table missing park column:\n%s", out)
+	if !strings.Contains(out, "MWSF") {
+		t.Fatalf("table missing MWSF row:\n%s", out)
 	}
 }
 
@@ -201,9 +201,7 @@ func TestOversubscribedSweep(t *testing.T) {
 func TestNativeLocksWithStats(t *testing.T) {
 	outside := map[string]bool{
 		"SlimBravo": true, "SlimEpoch": true,
-		"CentralizedRW": true, "CentralizedRW/park": true,
-		"PhaseFairRW": true, "PhaseFairRW/park": true,
-		"TaskFairRW": true, "TaskFairRW/park": true,
+		"CentralizedRW": true, "PhaseFairRW": true, "TaskFairRW": true,
 		"sync.RWMutex": true,
 	}
 	for name := range NativeLocks() {

@@ -51,7 +51,7 @@ type Scenario struct {
 	Description string `json:"-"`
 
 	// Locks names NativeLocks registry entries; nil means the default
-	// spin set (LockNames).  Ignored for simulator scenarios.
+	// set (LockNames).  Ignored for simulator scenarios.
 	Locks []string `json:"locks,omitempty"`
 	// Workers is the goroutine-count grid; nil means doubling counts
 	// up to 2*NumCPU.
@@ -341,7 +341,7 @@ func init() {
 	RegisterScenario(Scenario{
 		Name:          "oversub",
 		Title:         "E12: oversubscribed throughput (workers >> GOMAXPROCS)",
-		Description:   "spin vs park under scheduler pressure, deadline-based",
+		Description:   "spin-then-park waiting against sync.RWMutex under scheduler pressure, deadline-based",
 		Locks:         OversubLockNames(),
 		Workers:       []int{16, 64},
 		ReadFractions: []float64{0.9, 0.99},

@@ -328,7 +328,7 @@ func TestRunScenarioPinsAndRestoresGOMAXPROCS(t *testing.T) {
 	before := runtime.GOMAXPROCS(0)
 	sc, _ := ScenarioByName("oversub")
 	res, err := RunScenario(sc, ScenarioOptions{
-		Seed: 1, Quick: true, Locks: []string{"MWSF/park"}, Workers: []int{8},
+		Seed: 1, Quick: true, Locks: []string{"MWSF"}, Workers: []int{8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -113,8 +113,7 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestDurationOverridesOps(t *testing.T) {
-	park := rwlock.WithWaitStrategy(rwlock.SpinThenPark)
-	res := Run(rwlock.NewMWSF(park), Config{
+	res := Run(rwlock.NewMWSF(), Config{
 		Workers:      8,
 		ReadFraction: 0.9,
 		Duration:     30 * time.Millisecond,

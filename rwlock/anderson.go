@@ -9,8 +9,8 @@ import (
 // exclusion lock (IEEE TPDS 1990): a fetch&increment ticket assigns
 // each acquirer a slot in a circular array of spin flags, and release
 // opens the successor slot.  Each process waits on its own cache line
-// (a waitCell, so the waiting behavior follows the lock's
-// WaitStrategy), giving O(1) RMR complexity on cache-coherent
+// (a waitCell, so it spins briefly and then parks like every wait in
+// the package), giving O(1) RMR complexity on cache-coherent
 // machines, plus FCFS and starvation freedom.
 //
 // The paper's Figure 3 transformation and Figure 4 algorithm use this
@@ -70,7 +70,6 @@ func NewAnderson(maxConcurrent int, opts ...Option) *AndersonLock {
 		stats: o.stats,
 	}
 	for i := range l.slots {
-		l.slots[i].setStrategy(o.strategy)
 		l.slots[i].setStats(o.stats)
 	}
 	l.slots[0].store(cellTrue)

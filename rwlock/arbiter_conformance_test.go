@@ -13,32 +13,32 @@ import (
 // arbitration layer — today the unbounded MCS queue, the bounded
 // Anderson array, and the flat combiner; tomorrow a NUMA cohort lock —
 // must pass mutual exclusion, cross-goroutine slot transfer, and the
-// one-shot-writer churn shape, under both wait strategies.  A new
+// one-shot-writer churn shape, on both test passes (waitPasses).  A new
 // arbiter earns the whole suite by adding one line to
 // conformanceArbiters.  CI runs the package under -race -shuffle=on,
 // so any CS overlap is also a detected data race and any inter-test
 // ordering assumption fails loudly.
 
 // conformanceArbiters names every writerMutex implementation under a
-// constructor taking the wait strategy.  The combiner is conformed
+// constructor taking the pass's counter block.  The combiner is conformed
 // over its token path here (acquire/release pass through to the inner
 // mutex); its batched exec path has its own suite in combiner_test.go,
 // including exec-vs-token mutual exclusion.
-func conformanceArbiters(s WaitStrategy) map[string]func() writerMutex {
+func conformanceArbiters(p waitPass) map[string]func() writerMutex {
 	return map[string]func() writerMutex{
-		"mcs":      func() writerMutex { return newMCS(s, nil) },
-		"anderson": func() writerMutex { return NewAnderson(64, WithWaitStrategy(s)) },
-		"combiner": func() writerMutex { return newCombiner(newMCS(s, nil), s, nil) },
+		"mcs":      func() writerMutex { return newMCS(p.st()) },
+		"anderson": func() writerMutex { return NewAnderson(64, WithStats(p.st())) },
+		"combiner": func() writerMutex { return newCombiner(newMCS(p.st()), p.st()) },
 	}
 }
 
-// forEachArbiter runs f once per (arbiter, wait strategy) pair as a
-// parallel subtest.
+// forEachArbiter runs f once per (arbiter, pass) pair as a parallel
+// subtest.
 func forEachArbiter(t *testing.T, f func(t *testing.T, newM func() writerMutex)) {
-	for _, strat := range strategies() {
-		for name, mk := range conformanceArbiters(strat) {
+	for _, pass := range waitPasses() {
+		for name, mk := range conformanceArbiters(pass) {
 			mk := mk
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				f(t, mk)
 			})
@@ -260,14 +260,14 @@ func TestArbiterCtxChurnRandomCancel(t *testing.T) {
 
 // The three MCS-specific unlink geometries.  The conformance churn
 // above hits them probabilistically; these pin each one
-// deterministically, under both wait strategies.
+// deterministically, on both passes.
 
 // TestMCSCancelMidQueue: holder ← W1(ctx) ← W2.  Cancelling W1 must
 // let the holder's release adopt W1's node and hand the lock to W2.
 func TestMCSCancelMidQueue(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			m := newMCS(strat, nil)
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
+			m := newMCS(pass.st())
 			holder := m.acquire()
 			ctx, cancel := context.WithCancel(context.Background())
 			w1 := make(chan error, 1)
@@ -299,9 +299,9 @@ func TestMCSCancelMidQueue(t *testing.T) {
 // the queue.  The holder's release must adopt the node and find the
 // queue empty behind it (tail reset), leaving the lock free.
 func TestMCSCancelAtTail(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			m := newMCS(strat, nil)
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
+			m := newMCS(pass.st())
 			holder := m.acquire()
 			ctx, cancel := context.WithCancel(context.Background())
 			w1 := make(chan error, 1)
@@ -334,9 +334,9 @@ func TestMCSCancelAtTail(t *testing.T) {
 // round's acquire must succeed — a both-won round deadlocks it, a
 // neither-won round leaks the lock.
 func TestMCSCancelDuringHandoff(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			m := newMCS(strat, nil)
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
+			m := newMCS(pass.st())
 			rounds := 3000
 			if testing.Short() {
 				rounds = 300
@@ -433,9 +433,9 @@ func TestArbiterBatchRetireDoubleRegisterPanics(t *testing.T) {
 // exclusion the critical sections write it, so -race checks the
 // ordering claim too.
 func TestCombinerBatchRetireOncePerDrainedBatch(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			c := newCombiner(newMCS(strat, nil), strat, nil)
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
+			c := newCombiner(newMCS(pass.st()), pass.st())
 			var csRun int64    // plain, written by combined critical sections
 			var boundary int64 // plain, written by the hook under the same mutex
 			var behind int64   // critical sections the hook had not yet seen

@@ -21,9 +21,9 @@ import (
 //   - RWMutexLock: the Go standard library's sync.RWMutex behind the
 //     package's token interface (tokens are ignored).
 //
-// All waiting goes through waitCells, so the baselines honor the same
-// WaitStrategy options as the paper's locks — the oversubscription
-// experiments compare like with like.
+// All waiting goes through waitCells, so the baselines wait exactly as
+// the paper's locks do — spin briefly, then park — and the
+// oversubscription experiments compare like with like.
 type noCopy struct{}
 
 // Lock and Unlock make noCopy trip `go vet -copylocks`.
@@ -41,11 +41,7 @@ type CentralizedRW struct {
 }
 
 // NewCentralizedRW returns a ready centralized lock.
-func NewCentralizedRW(opts ...Option) *CentralizedRW {
-	l := &CentralizedRW{}
-	l.cnt.setStrategy(applyOptions(opts).strategy)
-	return l
-}
+func NewCentralizedRW() *CentralizedRW { return &CentralizedRW{} }
 
 // noReaders/noWriters are the wait conditions of the packed word:
 // static predicates, so waitUntil calls allocate nothing.
@@ -160,9 +156,18 @@ var _ CtxRWLock = (*CentralizedRW)(nil)
 // it; readers that see a writer present wait only until the writer
 // bits CHANGE — i.e. they are admitted at the next phase boundary,
 // after at most one writer, regardless of how many writers are queued.
+//
+// Two rules keep a reader's "bits changed" test free of ABA.  The
+// phase bit flips once per writer that raises the presence bit (it
+// stays in rin between writers), and a writer that raises the bit
+// always drains and completes its passage: TryLock raises it only
+// when it will succeed, and LockCtx commits at its ticket.  So once a
+// reader has registered under writer W's bits, the next writer to
+// raise the bit counts that reader and cannot finish before it leaves,
+// and W's bits cannot come back while the reader waits.
 type PhaseFairRW struct {
 	_    noCopy
-	rin  waitCell     // readers-in << 8 | writer presence/phase bits
+	rin  waitCell     // readers-in << 8 | cancelled hand-offs << 2 | writer presence/phase bits
 	rout waitCell     // readers-out << 8
 	win  atomic.Int64 // writer ticket dispenser (never waited on)
 	_    [56]byte
@@ -170,45 +175,57 @@ type PhaseFairRW struct {
 }
 
 const (
-	pfReader = int64(0x100) // one reader unit in rin/rout
-	pfPres   = int64(0x2)   // writer-present bit
-	pfPhase  = int64(0x1)   // writer phase parity bit
-	pfWBits  = pfPres | pfPhase
+	pfReader   = int64(0x100) // one reader unit in rin/rout
+	pfPend     = int64(0x4)   // one cancelled reader handed to the writer
+	pfPendMask = int64(0xfc)  // hand-off count field of rin (0..63)
+	pfPres     = int64(0x2)   // writer-present bit
+	pfPhase    = int64(0x1)   // writer phase parity bit
+	pfWBits    = pfPres | pfPhase
+	pfLow      = pfPendMask | pfWBits // rin bits below the reader count
 )
 
 // NewPhaseFairRW returns a ready phase-fair lock.
-func NewPhaseFairRW(opts ...Option) *PhaseFairRW {
-	l := &PhaseFairRW{}
-	s := applyOptions(opts).strategy
-	l.rin.setStrategy(s)
-	l.rout.setStrategy(s)
-	l.wout.setStrategy(s)
-	return l
+func NewPhaseFairRW() *PhaseFairRW { return &PhaseFairRW{} }
+
+// raiseBy is the amount that puts a writer's bits up over rin value
+// v: presence plus the flipped phase.  Only the head writer changes
+// rin's low two bits, and the previous writer left only its phase bit
+// there, so one add (or CAS) moves them.
+func raiseBy(v int64) int64 {
+	p := v & pfPhase
+	return (pfPres | (p ^ pfPhase)) - p
 }
 
 // Lock acquires write mode.
 func (l *PhaseFairRW) Lock() WToken {
 	t := l.win.Add(1) - 1
 	l.wout.wait(t) // writers FIFO
-	w := pfPres | (t & pfPhase)
-	entered := l.rin.add(w) - w // readers that arrived before me
-	l.rout.wait(entered &^ pfWBits)
-	return WToken{id: w}
+	d := raiseBy(l.rin.load())
+	entered := (l.rin.add(d) - d) &^ pfLow // readers that arrived before me
+	l.rout.wait(entered)
+	return WToken{}
 }
 
-// Unlock releases write mode.
-func (l *PhaseFairRW) Unlock(t WToken) {
-	// Clear the writer bits first so waiting readers see the phase
-	// change, then admit the next writer; both are wake sites (a
-	// parked reader watches rin's low bits, the next writer wout).
-	l.rin.addWake(-t.id)
+// Unlock releases write mode.  It drops the presence bit (the phase
+// bit stays for the next writer to flip) so waiting readers see the
+// phase change, retires the readers whose RLockCtx was cancelled
+// under its bits, and then admits the next writer; each step that a
+// waiter watches is a wake site.
+func (l *PhaseFairRW) Unlock(WToken) {
+	nv := l.rin.addWake(-pfPres)
+	if n := (nv & pfPendMask) / pfPend; n != 0 {
+		// No reader can add a hand-off now that the bit is down, and
+		// no writer can raise it again before wout moves.
+		l.rin.add(-n * pfPend)
+		l.rout.addWake(n * pfReader)
+	}
 	l.wout.addWake(1)
 }
 
 // RLock acquires read mode.
 func (l *PhaseFairRW) RLock() RToken {
 	w := (l.rin.add(pfReader) - pfReader) & pfWBits
-	if w != 0 {
+	if w&pfPres != 0 {
 		// A writer holds or awaits the lock: wait for the next phase
 		// boundary (the writer bits changing), after which we hold a
 		// counted reservation the next writer will wait for.
@@ -222,71 +239,84 @@ func (l *PhaseFairRW) RUnlock(RToken) { l.rout.addWake(pfReader) }
 
 // TryLock attempts write mode without blocking.  The head-of-queue
 // probe (wout == win) plus the ticket CAS stands in for the FIFO
-// wait; a reader found inside after the writer bits are up is undone
-// by a zero-length writer passage — clearing the bits and advancing
-// wout exactly as Unlock would, which is consistent because no
-// successor ticket can exist (the CAS admitted only us).
+// wait; the bits go up only by a CAS on a reader count that rout has
+// already matched, so a probe that finds readers inside never touches
+// rin — it only passes its ticket on, as a passage with no phase.
 func (l *PhaseFairRW) TryLock() (WToken, bool) {
 	t := l.win.Load()
 	if l.wout.load() != t || !l.win.CompareAndSwap(t, t+1) {
 		return WToken{}, false // writer held/queued, or lost the claim
 	}
-	w := pfPres | (t & pfPhase)
-	entered := l.rin.add(w) - w
-	if l.rout.load() != entered&^pfWBits {
-		// Readers inside: undo via a zero-length writer passage.
-		l.rin.addWake(-w)
-		l.wout.addWake(1)
+	v := l.rin.load()
+	if l.rout.load() != v&^pfLow || !l.rin.cas(v, v+raiseBy(v)) {
+		l.wout.addWake(1) // readers inside, or one just arrived
 		return WToken{}, false
 	}
-	return WToken{id: w}, true
+	return WToken{}, true
 }
 
-// TryRLock attempts read mode without blocking; failure retires
-// through a zero-length read passage (count out through rout), which
-// the writer draining rin-before-me readers accounts exactly.
+// TryRLock attempts read mode without blocking: it registers by a CAS
+// on rin only while no writer bits are up, so a failed probe touches
+// neither counter and a draining writer's snapshot stays exact.
 func (l *PhaseFairRW) TryRLock() (RToken, bool) {
-	if (l.rin.add(pfReader)-pfReader)&pfWBits != 0 {
-		l.rout.addWake(pfReader)
-		return RToken{}, false
+	for {
+		v := l.rin.load()
+		if v&pfPres != 0 {
+			return RToken{}, false
+		}
+		if l.rin.cas(v, v+pfReader) {
+			return RToken{}, true
+		}
 	}
-	return RToken{}, true
 }
 
 // LockCtx acquires write mode.  The ticket fetch&add is the point of
-// no return for the FIFO wait — a ticket cannot be returned without
-// stranding every later ticket, the classic limitation of ticket
-// locks — so cancellation wins before the ticket, or during the
-// reader drain at the queue head (undone by a zero-length writer
-// passage, as in TryLock), but not in the FIFO queue between them.
+// no return — a ticket cannot be returned without stranding every
+// later ticket, the classic limitation of ticket locks, and a writer
+// that raised its bits must complete its passage (see the type doc)
+// — so cancellation wins only before the ticket.
 func (l *PhaseFairRW) LockCtx(ctx context.Context) (WToken, error) {
 	if err := ctx.Err(); err != nil {
 		return WToken{}, err
 	}
-	t := l.win.Add(1) - 1 // ticket: the queue wait is now committed
-	l.wout.wait(t)
-	w := pfPres | (t & pfPhase)
-	entered := l.rin.add(w) - w
-	if err := l.rout.waitCtx(ctx, entered&^pfWBits); err != nil {
-		l.rin.addWake(-w) // zero-length writer passage, as in TryLock
-		l.wout.addWake(1)
-		return WToken{}, err
-	}
-	return WToken{id: w}, nil
+	return l.Lock(), nil // ticket = point of no return
 }
 
-// RLockCtx acquires read mode; a reader cancelled at the phase
-// boundary retires through a zero-length read passage.
+// RLockCtx acquires read mode.  A reader cancelled under a writer's
+// bits was never counted by that writer's drain and will be counted
+// by the next one's, so it may neither leave rin nor retire through
+// rout while those bits are up.  It hands its retirement to the
+// writer instead, by a CAS that succeeds only while the bits are
+// unchanged, and returns at once; that writer's Unlock adds it to
+// rout.  If the bits changed first, the reader is past the phase
+// boundary and retires through rout itself (a zero-length read
+// passage).  If the hand-off field is full, it waits for the boundary
+// (at most one writer passage) and then retires.
 func (l *PhaseFairRW) RLockCtx(ctx context.Context) (RToken, error) {
 	w := (l.rin.add(pfReader) - pfReader) & pfWBits
-	if w != 0 {
-		err := l.rin.waitUntilCtx(ctx, func(v int64) bool { return v&pfWBits != w })
-		if err != nil {
+	if w&pfPres == 0 {
+		return RToken{}, nil
+	}
+	changed := func(v int64) bool { return v&pfWBits != w }
+	err := l.rin.waitUntilCtx(ctx, changed)
+	if err == nil {
+		return RToken{}, nil
+	}
+	for {
+		v := l.rin.load()
+		if changed(v) {
 			l.rout.addWake(pfReader)
 			return RToken{}, err
 		}
+		if v&pfPendMask == pfPendMask {
+			l.rin.waitUntil(changed)
+			l.rout.addWake(pfReader)
+			return RToken{}, err
+		}
+		if l.rin.cas(v, v+pfPend) {
+			return RToken{}, err
+		}
 	}
-	return RToken{}, nil
 }
 
 var _ RWLock = (*PhaseFairRW)(nil)
@@ -310,13 +340,7 @@ type TaskFairRW struct {
 }
 
 // NewTaskFairRW returns a ready task-fair lock.
-func NewTaskFairRW(opts ...Option) *TaskFairRW {
-	l := &TaskFairRW{}
-	s := applyOptions(opts).strategy
-	l.serving.setStrategy(s)
-	l.readers.setStrategy(s)
-	return l
-}
+func NewTaskFairRW() *TaskFairRW { return &TaskFairRW{} }
 
 // Lock acquires write mode.
 func (l *TaskFairRW) Lock() WToken {
@@ -400,8 +424,8 @@ var _ CtxRWLock = (*TaskFairRW)(nil)
 // standard library participates in the same benchmarks and tests.
 // Note sync.RWMutex's own discipline: writers block new readers
 // (roughly writer-preference for admission, FIFO via the mutex), and
-// waiters always park in the runtime — it is the all-park point of
-// comparison for the WaitStrategy experiments.
+// waiters always park in the runtime at once, where the package's
+// waits spin briefly first.
 type RWMutexLock struct {
 	mu sync.RWMutex
 }

@@ -96,12 +96,12 @@ const bravoBusyFactor = 2
 
 // NewBravo wraps inner with the BRAVO reader fast path.  If inner is
 // nil, a starvation-free MWSF lock (unbounded writers, matching
-// NewGuard's default) is used.  Options configure the wrapper's own
-// waiting (the revoking writer's table drain); the inner lock's
-// strategy is whatever it was constructed with — the NewBravoMW*
-// helpers apply one option list to both layers.
-// WithSharedReaderTable(tbl) publishes fast-path readers in tbl
-// instead of a private table (see the option doc for the trade).
+// NewGuard's default) is built from opts.  Options configure the
+// wrapper itself (WithStats, WithSharedReaderTable); the inner lock
+// keeps whatever it was constructed with — the NewBravoMW* helpers
+// apply one option list to both layers.  WithSharedReaderTable(tbl)
+// publishes fast-path readers in tbl instead of a private table (see
+// the option doc for the trade).
 // Wrapping a *Bravo in another *Bravo panics: the outer wrapper would
 // misroute the inner one's fast-path tokens.
 func NewBravo(inner RWLock, opts ...Option) *Bravo {
@@ -114,7 +114,7 @@ func NewBravo(inner RWLock, opts ...Option) *Bravo {
 	}
 	tbl := o.sharedTable
 	if tbl == nil {
-		tbl = newReaderTable(0, o.strategy)
+		tbl = newReaderTable(0)
 	}
 	b := &Bravo{slots: tbl, id: tbl.assignID(), inner: inner, stats: o.stats}
 	_, b.innerCombines = CombinerStatsOf(inner)
@@ -125,8 +125,8 @@ func NewBravo(inner RWLock, opts ...Option) *Bravo {
 }
 
 // NewBravoMWSF returns Bravo(MWSF): the starvation-free Theorem 3 lock
-// with the BRAVO reader fast path.  Options (wait strategy, writer
-// bound) apply to both layers.
+// with the BRAVO reader fast path.  Options (writer arbitration,
+// stats) apply to both layers.
 func NewBravoMWSF(opts ...Option) *Bravo {
 	return NewBravo(NewMWSF(opts...), opts...)
 }

@@ -254,13 +254,17 @@ func TestBravoNilInnerDefaults(t *testing.T) {
 	b.RUnlock(tok)
 }
 
-// TestReaderSlotsClaimReleaseDrain exercises the table directly,
-// under both wait strategies: a drain must wait on a claim held in
-// every region, and a parked drain must be woken by each release.
+// TestReaderSlotsClaimReleaseDrain exercises the table directly: a
+// drain must wait on a claim held in every region, and a parked drain
+// must be woken by each release.
 func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
-	for _, strat := range []WaitStrategy{SpinYield, SpinThenPark} {
-		t.Run(strat.String(), func(t *testing.T) {
-			rs := newReaderTable(16, strat)
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
+			rs := newReaderTable(16)
+			st := pass.st()
+			for i := range rs.slots {
+				rs.slots[i].setStats(st)
+			}
 			if len(rs.slots)&(len(rs.slots)-1) != 0 || len(rs.slots) < 16 {
 				t.Fatalf("table size %d: want power of two >= 16", len(rs.slots))
 			}
@@ -288,6 +292,7 @@ func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
 			}
 			drained := make(chan int)
 			go func() { drained <- rs.drainFor(id) }()
+			awaitPark(t, st)
 			for r, idx := range held {
 				select {
 				case <-drained:
@@ -306,6 +311,7 @@ func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				t.Fatal("drain did not observe the releases")
 			}
+			checkParks(t, st)
 		})
 	}
 }
@@ -318,7 +324,7 @@ func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
 // index path tryClaim uses, so every region is covered without pinning.
 func TestReaderTableClaimsInCandidateSet(t *testing.T) {
 	for _, size := range []int{0, 64, 1024} {
-		rs := newReaderTable(size, SpinYield)
+		rs := newReaderTable(size)
 		regions := rs.rmask + 1
 		if rs.span < 4 || rs.span*regions != uint64(len(rs.slots)) {
 			t.Fatalf("size %d: %d regions of %d slots over %d, want regions of at least 4 tiling the arena", size, regions, rs.span, len(rs.slots))

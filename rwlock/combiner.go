@@ -236,13 +236,11 @@ type combiner struct {
 }
 
 // newCombiner wraps inner with flat combining; published records'
-// completion cells wait with strategy s, counting into st when
-// non-nil.
-func newCombiner(inner writerMutex, s WaitStrategy, st *LockStats) *combiner {
+// completion cells count parks into st when non-nil.
+func newCombiner(inner writerMutex, st *LockStats) *combiner {
 	c := &combiner{inner: inner, stats: st}
 	c.pool.New = func() any {
 		r := &combineRecord{}
-		r.done.setStrategy(s)
 		r.done.setStats(st)
 		return r
 	}
@@ -324,8 +322,7 @@ func (c *combiner) execCtx(ctx context.Context, cs func()) error {
 func (c *combiner) finish(r *combineRecord, elected bool) {
 	if !elected {
 		// Another goroutine owns this epoch; its drain loop will
-		// execute our record and signal the cell (spin or park per
-		// the lock's strategy).
+		// execute our record and signal the cell.
 		if st := c.stats; st != nil && r.done.load() != cellTrue {
 			st.WriteContended.Add(1)
 		}

@@ -11,7 +11,7 @@ import (
 // the conformance suite (arbiter_conformance_test.go) deliberately
 // leaves to this file — batching, exec-vs-token exclusion, record
 // recycling, the stats snapshot — plus the combining locks end to end
-// (Write on MWSF/MWRP/MWWP/Bravo, Guard.Write, both wait strategies).
+// (Write on MWSF/MWRP/MWWP/Bravo, Guard.Write, bare and instrumented).
 // The package runs under -race in CI, so every plain-variable CS here
 // doubles as an exclusion check.
 
@@ -28,11 +28,11 @@ func stackLen(c *combiner) int {
 // TestCombinerExecRunsEveryCS: every submitted critical section runs
 // exactly once, mutually excluded, under heavy concurrent exec.
 func TestCombinerExecRunsEveryCS(t *testing.T) {
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
 			t.Parallel()
-			c := newCombiner(newMCS(strat, nil), strat, nil)
+			c := newCombiner(newMCS(pass.st()), pass.st())
 			const goroutines, laps = 8, 500
 			var data int64 // plain: -race checks the batches exclude each other
 			var wg sync.WaitGroup
@@ -66,11 +66,11 @@ func TestCombinerExecRunsEveryCS(t *testing.T) {
 // inner mutex, everyone else waits on their record), then release:
 // the elect must drain all N in ONE batch.
 func TestCombinerBatchFormsWhileInnerHeld(t *testing.T) {
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
 			t.Parallel()
-			c := newCombiner(newMCS(strat, nil), strat, nil)
+			c := newCombiner(newMCS(pass.st()), pass.st())
 			const publishers = 8
 			slot := c.acquire() // token path: batches must wait for us
 			var data int64
@@ -108,11 +108,11 @@ func TestCombinerBatchFormsWhileInnerHeld(t *testing.T) {
 // each other — the property that makes Lock/Unlock safe on a
 // combining lock.
 func TestCombinerExecVsTokenPath(t *testing.T) {
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
 			t.Parallel()
-			c := newCombiner(newMCS(strat, nil), strat, nil)
+			c := newCombiner(newMCS(pass.st()), pass.st())
 			const goroutines, laps = 6, 400
 			var inside atomic.Int32
 			var data int64
@@ -155,7 +155,7 @@ func TestCombinerExecVsTokenPath(t *testing.T) {
 // clear a sync.Pool mid-run, so assert "well under one allocation per
 // op", not zero.
 func TestCombinerRecyclesRecords(t *testing.T) {
-	c := newCombiner(newMCS(SpinYield, nil), SpinYield, nil)
+	c := newCombiner(newMCS(nil), nil)
 	c.exec(func() {}) // warm the pool
 	if n := testing.AllocsPerRun(500, func() {
 		c.exec(func() {})
@@ -232,10 +232,10 @@ func TestCombinerOverBoundedInner(t *testing.T) {
 
 // TestCombiningLocksWriteSemantics: every combining multi-writer lock
 // (bare and Bravo-wrapped) retires concurrent closure writes exactly
-// once, mutually excluded against readers, under both strategies.
+// once, mutually excluded against readers, bare and instrumented.
 func TestCombiningLocksWriteSemantics(t *testing.T) {
-	combiningLocks := func(strat WaitStrategy) map[string]RWLock {
-		o := []Option{WithWaitStrategy(strat), WithCombiningWriters()}
+	combiningLocks := func(pass waitPass) map[string]RWLock {
+		o := []Option{pass.opt(), WithCombiningWriters()}
 		return map[string]RWLock{
 			"MWSF/combine":        NewMWSF(o...),
 			"MWRP/combine":        NewMWRP(o...),
@@ -244,10 +244,10 @@ func TestCombiningLocksWriteSemantics(t *testing.T) {
 		}
 	}
 	const writers, writesEach, readers = 6, 300, 2
-	for _, strat := range strategies() {
-		for name, l := range combiningLocks(strat) {
+	for _, pass := range waitPasses() {
+		for name, l := range combiningLocks(pass) {
 			l := l
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				var data int64 // plain: -race checks writer/writer AND writer/reader exclusion
 				stop := make(chan struct{})

@@ -99,12 +99,12 @@ func TestLockCtxAlreadyCancelled(t *testing.T) {
 // writer leaves.  Either way the retreat must not disturb the writer
 // or later readers.
 func TestRLockCtxCancelUnderWriter(t *testing.T) {
-	for _, strat := range strategies() {
-		opt := WithWaitStrategy(strat)
+	for _, pass := range waitPasses() {
+		opt := pass.opt()
 		for name, l := range ctxLocks(opt) {
 			l := l
 			committed := name == "TaskFairRW"
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				wt := l.Lock()
 				ctx, cancel := context.WithCancel(context.Background())
@@ -161,8 +161,8 @@ func TestRLockCtxCancelUnderWriter(t *testing.T) {
 // legal under the two-valued contract, and either way the books must
 // balance afterwards.
 func TestLockCtxCancelUnderWriter(t *testing.T) {
-	for _, strat := range strategies() {
-		opt := WithWaitStrategy(strat)
+	for _, pass := range waitPasses() {
+		opt := pass.opt()
 		// locks() only: a second writer on the single-writer cores is
 		// misuse (they panic), not a queueing scenario.
 		for name, l := range locks(opt) {
@@ -170,7 +170,7 @@ func TestLockCtxCancelUnderWriter(t *testing.T) {
 				RWLock
 				CtxRWLock
 			})
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				wt := l.Lock()
 				ctx, cancel := context.WithCancel(context.Background())
@@ -326,8 +326,8 @@ func TestGuardCtxAndTry(t *testing.T) {
 // granted locks (-race proves exclusion), the grant count proves no
 // passage was lost or duplicated, and a terminal passage on every
 // side proves no cancelled attempt stranded a queue, a gate, or a
-// count.  Run on both arbitration layers under SpinThenPark, where an
-// aborted parked waiter is the hardest case.
+// count.  Run on both arbitration layers; an aborted parked waiter is
+// the hardest case.
 func TestLockCtxWriterChurnRandomCancel(t *testing.T) {
 	lanes, opsPerLane := 256, 128
 	if testing.Short() {
@@ -337,17 +337,17 @@ func TestLockCtxWriterChurnRandomCancel(t *testing.T) {
 		RWLock
 		CtxRWLock
 	}{
-		"MWSF/park": func() interface {
+		"MWSF": func() interface {
 			RWLock
 			CtxRWLock
 		} {
-			return NewMWSF(WithWaitStrategy(SpinThenPark))
+			return NewMWSF()
 		},
-		"MWSF/bounded/park": func() interface {
+		"MWSF/bounded": func() interface {
 			RWLock
 			CtxRWLock
 		} {
-			return NewMWSF(WithWaitStrategy(SpinThenPark), WithBoundedWriters(8))
+			return NewMWSF(WithBoundedWriters(8))
 		},
 	} {
 		mk := mk

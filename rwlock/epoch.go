@@ -143,7 +143,8 @@ type Epoch struct {
 
 // epochSlot is one reader's stamp word: the waitCell keeps the word on
 // its own cache line (the padding the false-sharing audit asserts) and
-// gives the writer's grace scan the lock's wait strategy for free.
+// gives the writer's grace scan the package's spin-then-park wait for
+// free.
 // idx is the slot's registry index (the fast-path RToken payload),
 // written once at registration; the trailing pad keeps it off the next
 // slot's line in case slots are ever allocated contiguously.
@@ -257,7 +258,7 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 	}
 	// Copied out of o so the pool closure below captures two words,
 	// not the whole options struct.
-	shared, strategy, st := o.sharedTable, o.strategy, o.stats
+	shared, st := o.sharedTable, o.stats
 	var m writerMutex
 	switch l := inner.(type) {
 	case *MWSF:
@@ -303,7 +304,6 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 				return (*epochSlot)(nil) // cap reached: caller takes the slow path
 			}
 			s := &epochSlot{idx: int64(len(cur))}
-			s.cell.setStrategy(strategy)
 			s.cell.setStats(st)
 			next := make([]*epochSlot, len(cur)+1)
 			copy(next, cur)
@@ -323,8 +323,8 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 }
 
 // NewEpochMWSF returns Epoch(MWSF): the starvation-free Theorem 3 lock
-// with the zero-RMW epoch reader fast path.  Options (wait strategy,
-// writer arbitration, reclaim cadence) apply to both layers.
+// with the zero-RMW epoch reader fast path.  Options (writer
+// arbitration, reclaim cadence, stats) apply to both layers.
 func NewEpochMWSF(opts ...Option) *Epoch {
 	return NewEpoch(NewMWSF(opts...), opts...)
 }
@@ -527,9 +527,9 @@ func (e *Epoch) writerEnter() {
 	// The registry is loaded AFTER the advance, so any reader whose
 	// recheck will succeed is either already registered here (its
 	// stamp precedes our advance, sequentially consistent) or will
-	// see the odd epoch and back out.  Each wait honors the lock's
-	// strategy; a transient stamp from a backing-out reader clears in
-	// a bounded number of its own steps.
+	// see the odd epoch and back out.  Each wait spins, then parks; a
+	// transient stamp from a backing-out reader clears in a bounded
+	// number of its own steps.
 	for _, s := range *e.slots.Load() {
 		s.cell.wait(0)
 	}

@@ -78,9 +78,9 @@ func TestEpochFastReadZeroAlloc(t *testing.T) {
 // exclusion seam — a writer must not enter while a fast-path reader
 // is stamped in, and must enter promptly once the reader leaves.
 func TestEpochWriterWaitsForFastReader(t *testing.T) {
-	for _, strat := range strategies() {
-		for name, e := range epochLocks(WithWaitStrategy(strat)) {
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		for name, e := range epochLocks(pass.opt()) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				rt := e.RLock()
 				if rt.side != epochFastSide {
 					t.Fatal("reader did not take the fast path")

@@ -108,12 +108,12 @@ type wslot struct {
 func newWriterMutex(o options) writerMutex {
 	var m writerMutex
 	if o.boundedWriters > 0 {
-		m = NewAnderson(o.boundedWriters, WithWaitStrategy(o.strategy), WithStats(o.stats))
+		m = NewAnderson(o.boundedWriters, WithStats(o.stats))
 	} else {
-		m = newMCS(o.strategy, o.stats)
+		m = newMCS(o.stats)
 	}
 	if o.combining {
-		return newCombiner(m, o.strategy, o.stats)
+		return newCombiner(m, o.stats)
 	}
 	return m
 }
@@ -153,9 +153,9 @@ func WithBoundedWriters(n int) Option {
 // Exactly one CAS wins, so a grant is never sent to a node whose
 // owner has left (no lost handoff) and a waiter never abandons a node
 // that owns the lock (no lost lock).  A cancelled node is NOT
-// physically unlinked by its owner — under SpinThenPark the owner may
-// not even be running — instead the next releaser to reach it ADOPTS
-// it: recycles it and carries the release on to its successor,
+// physically unlinked by its owner — a parked owner may not even be
+// running — instead the next releaser to reach it ADOPTS it: recycles
+// it and carries the release on to its successor,
 // honoring the same linked-announcement recycling barrier on every
 // hop.  Cancellation therefore costs the canceller O(1) steps and
 // shifts the queue-repair work onto a lock holder that was already
@@ -181,8 +181,9 @@ type mcsNode struct {
 	// recycling barrier: it waits for linked even when next is already
 	// visible (the link store and its announcement are two separate
 	// instructions, and the successor can be descheduled between
-	// them).  The wait goes through the cell so that window also
-	// honors the lock's WaitStrategy.
+	// them).  The wait goes through the cell so a successor
+	// descheduled in that window costs the releaser a park, not a
+	// spin.
 	linked waitCell
 	// grant is the handoff: the releaser sets it (with a wake) to pass
 	// ownership to this node's owner.
@@ -194,8 +195,8 @@ type mcsNode struct {
 // FCFS linearization point — link behind their predecessor, and wait
 // on their own node's grant cell; release hands the lock to the
 // linked successor with one store+wake, or resets the tail when the
-// queue is empty.  Every wait goes through a waitCell, so both
-// SpinYield and SpinThenPark work unchanged.
+// queue is empty.  Every wait goes through a waitCell: a waiter spins
+// briefly on its own node, then parks.
 //
 // RMR accounting (cache-coherent model): acquire is one swap, at most
 // one store+wake into the predecessor's node, and a wait on the
@@ -219,14 +220,12 @@ type mcsLock struct {
 	stats *LockStats
 }
 
-// newMCS returns an unbounded MCS queue mutex whose waits follow s,
-// counting into st when non-nil.
-func newMCS(s WaitStrategy, st *LockStats) *mcsLock {
+// newMCS returns an unbounded MCS queue mutex, counting into st when
+// non-nil.
+func newMCS(st *LockStats) *mcsLock {
 	l := &mcsLock{stats: st}
 	l.pool.New = func() any {
 		n := &mcsNode{}
-		n.linked.setStrategy(s)
-		n.grant.setStrategy(s)
 		n.linked.setStats(st)
 		n.grant.setStats(st)
 		return n

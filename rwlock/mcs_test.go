@@ -13,13 +13,13 @@ import (
 // under -race, so any CS overlap is also a detected data race.
 
 // TestMCSMutualExclusion: the queue mutex admits exactly one holder
-// under heavy contention, under both wait strategies.
+// under heavy contention, bare and instrumented.
 func TestMCSMutualExclusion(t *testing.T) {
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
 			t.Parallel()
-			l := newMCS(strat, nil)
+			l := newMCS(pass.st())
 			var inside atomic.Int32
 			var wg sync.WaitGroup
 			for i := 0; i < 8; i++ {
@@ -46,7 +46,7 @@ func TestMCSMutualExclusion(t *testing.T) {
 // pool mid-run (sync.Pool's contract), so the assertion is an average
 // well under one allocation per passage rather than exactly zero.
 func TestMCSRecyclesNodes(t *testing.T) {
-	l := newMCS(SpinYield, nil)
+	l := newMCS(nil)
 	s := l.acquire() // warm the pool
 	l.release(s)
 	if n := testing.AllocsPerRun(500, func() {
@@ -62,10 +62,10 @@ func TestMCSRecyclesNodes(t *testing.T) {
 // path, driven deterministically: A holds, B queues, A releases
 // (recycling A's node), and the lock keeps working through many laps.
 func TestMCSHandoffRecycling(t *testing.T) {
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
-			l := newMCS(strat, nil)
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
+			l := newMCS(pass.st())
 			var held atomic.Int32
 			for lap := 0; lap < 200; lap++ {
 				a := l.acquire()
@@ -87,15 +87,15 @@ func TestMCSHandoffRecycling(t *testing.T) {
 
 // TestWriterChurn is the satellite stress: at least 1000 DISTINCT
 // goroutines, each performing exactly one Lock/Unlock, per lock and
-// per wait strategy.  The bounded constructors of the old API could
+// bare and instrumented.  The bounded constructors of the old API could
 // not express this shape at all (1000 concurrent write attempts would
 // need maxWriters=1000 decided up front); the MCS arbitration takes
 // it in stride, and the bounded variant survives it too because its
 // admission gate blocks rather than corrupts.
 func TestWriterChurn(t *testing.T) {
 	const churners = 1200
-	churnLocks := func(strat WaitStrategy) map[string]RWLock {
-		o := WithWaitStrategy(strat)
+	churnLocks := func(pass waitPass) map[string]RWLock {
+		o := pass.opt()
 		return map[string]RWLock{
 			"MWSF":         NewMWSF(o),
 			"MWRP":         NewMWRP(o),
@@ -104,10 +104,10 @@ func TestWriterChurn(t *testing.T) {
 			"Bravo(MWSF)":  NewBravoMWSF(o),
 		}
 	}
-	for _, strat := range strategies() {
-		for name, l := range churnLocks(strat) {
+	for _, pass := range waitPasses() {
+		for name, l := range churnLocks(pass) {
 			l := l
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				var data int64 // plain, guarded only by l: -race checks exclusion
 				var wg sync.WaitGroup
@@ -134,10 +134,10 @@ func TestWriterChurn(t *testing.T) {
 // and that remote release is the handoff site for the next queued
 // writer, so the transfer must not strand the queue.
 func TestMCSSlotCrossGoroutineTransfer(t *testing.T) {
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
-			l := NewMWSF(WithWaitStrategy(strat))
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
+			l := NewMWSF(pass.opt())
 			const handoffs = 300
 			toks := make(chan WToken)
 			// Acquirer goroutine: locks, ships the token (with its MCS

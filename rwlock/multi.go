@@ -34,7 +34,7 @@ import (
 // write passage a combiner runs per record, and the no-readers probe
 // TryLock runs before committing.
 type writerCore interface {
-	init(s WaitStrategy, st *LockStats)
+	init(st *LockStats)
 	writerLock() WToken
 	writerUnlock(t WToken)
 	writePassage(cs func())
@@ -64,7 +64,7 @@ type tLock[C any, PC interface {
 func (l *tLock[C, PC]) init(o options, m writerMutex) {
 	l.m, l.stats = m, o.stats
 	core := PC(&l.core)
-	core.init(o.strategy, o.stats)
+	core.init(o.stats)
 	if c, ok := m.(*combiner); ok {
 		c.passage = core.writePassage
 	}
@@ -372,7 +372,7 @@ type MWWP struct {
 func NewMWWP(opts ...Option) *MWWP {
 	o := applyOptions(opts)
 	l := &MWWP{m: newWriterMutex(o), stats: o.stats}
-	l.core.init(o.strategy, o.stats)
+	l.core.init(o.stats)
 	// W-token starts as the side token for side 1 so the first writer
 	// behaves exactly like the first SWWP attempt (D: 0 -> 1).
 	l.wtoken.Store(tokenSide(1))

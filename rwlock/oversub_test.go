@@ -9,7 +9,7 @@ import (
 )
 
 // Oversubscription stress: far more goroutines than GOMAXPROCS, the
-// regime SpinThenPark exists for and the regime where a retrofitted
+// regime the waits park for and the regime where a retrofitted
 // parking layer classically loses wakeups (a waiter parks just as the
 // signal lands).  Every test here matches -run Oversub, which CI runs
 // under the race detector with GOMAXPROCS=2 — so any reader/writer CS
@@ -72,24 +72,24 @@ func oversubHammer(t *testing.T, l RWLock, writers, readers, iters int) {
 }
 
 // TestOversubscribedStressAllLocks: 64 workers on 2 Ps, every lock in
-// the package, both strategies.
+// the package, bare and instrumented.
 func TestOversubscribedStressAllLocks(t *testing.T) {
 	underSmallGOMAXPROCS(t, 2)
 	iters := 300
 	if testing.Short() {
 		iters = 100
 	}
-	for _, strat := range strategies() {
-		opt := WithWaitStrategy(strat)
+	for _, pass := range waitPasses() {
+		opt := pass.opt()
 		for name, l := range locks(opt) {
 			l := l
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				oversubHammer(t, l, 8, 56, iters)
 			})
 		}
 		for name, l := range singleWriterLocks(opt) {
 			l := l
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				oversubHammer(t, l, 1, 63, iters)
 			})
 		}
@@ -103,15 +103,15 @@ func TestOversubscribedStressAllLocks(t *testing.T) {
 func TestOversubTokenTransfer(t *testing.T) {
 	underSmallGOMAXPROCS(t, 2)
 	const handoffs = 200
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
-			l := NewMWSF(WithWaitStrategy(strat))
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
+			l := NewMWSF(pass.opt())
 			// Background readers so the transferred write tokens always
 			// have waiters to wake.  They yield every pass: the point is
 			// waiters on the gate, not CPU pressure (the AllLocks stress
 			// covers that), and unyielding readers starve the handoff
-			// goroutines on 2 Ps for seconds per strategy.
+			// goroutines on 2 Ps for seconds.
 			stop := make(chan struct{})
 			var readers sync.WaitGroup
 			for i := 0; i < 4; i++ {
@@ -153,10 +153,10 @@ func TestOversubTokenTransfer(t *testing.T) {
 // Locker adapter moves them across goroutines via its internal mutex.
 func TestOversubGuard(t *testing.T) {
 	underSmallGOMAXPROCS(t, 2)
-	for _, strat := range strategies() {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
-			g := NewGuard(NewMWWP(WithWaitStrategy(strat)), map[string]int{})
+	for _, pass := range waitPasses() {
+		pass := pass
+		t.Run(string(pass), func(t *testing.T) {
+			g := NewGuard(NewMWWP(pass.opt()), map[string]int{})
 			const workers, iters = 48, 100
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {

@@ -22,18 +22,19 @@ const cacheLine = 64
 // word (readerSlots and the Anderson array are []waitCell, so their
 // per-slot isolation IS this layout).  The word must open the struct
 // alone on its line, the cold parking state must start on the next
-// line, and the total size must be a whole number of lines so array
-// elements never share.
+// line, and the total size must be exactly two lines: a whole number,
+// so array elements never share, and no more, so the reader tables
+// and every lock built from cells keep their footprint.
 func TestWaitCellPadding(t *testing.T) {
 	var c waitCell
 	if off := unsafe.Offsetof(c.v); off != 0 {
 		t.Errorf("waitCell.v at offset %d, want 0", off)
 	}
-	if off := unsafe.Offsetof(c.park); off != cacheLine {
-		t.Errorf("waitCell.park at offset %d, want %d (parking state must not share the wait word's line)", off, cacheLine)
+	if off := unsafe.Offsetof(c.parked); off != cacheLine {
+		t.Errorf("waitCell.parked at offset %d, want %d (parking state must not share the wait word's line)", off, cacheLine)
 	}
-	if sz := unsafe.Sizeof(c); sz%cacheLine != 0 {
-		t.Errorf("sizeof(waitCell) = %d, not a multiple of %d (adjacent slots in []waitCell would share a line)", sz, cacheLine)
+	if sz := unsafe.Sizeof(c); sz != 2*cacheLine {
+		t.Errorf("sizeof(waitCell) = %d, want %d (two lines: adjacent slots in []waitCell must not share one)", sz, 2*cacheLine)
 	}
 }
 

@@ -54,8 +54,8 @@ const slotProbes = 3
 // slots, shareable between any number of Bravo/Epoch/Slim locks via
 // WithSharedReaderTable.  Each slot is a waitCell: the revoking
 // writer's drain is a wait on the slot, and a fast-path reader's
-// release is the matching wake, so drains follow the table's
-// WaitStrategy like every other wait in the package.
+// release is the matching wake, so a drain spins and then parks like
+// every other wait in the package.
 //
 // A table is safe for concurrent use by any number of locks and
 // goroutines.  Lock constructors draw a unique owner id from the
@@ -80,27 +80,22 @@ type ReaderTable struct {
 
 // NewReaderTable returns an arena with at least min slots (rounded up
 // to a power of two, floor 8), for sharing among locks constructed
-// with WithSharedReaderTable.  The only option honored is
-// WithWaitStrategy, which selects how revoking writers wait on the
-// arena's slots.  Sizing guidance: the arena is split into one region
-// per P, and a region's size bounds how many locks' readers can be on
-// the fast path on one P at once without colliding (a reader that
-// cannot claim a slot in a bounded number of probes takes its lock's
-// slow path, which is correct but slower).  A revocation reads only
-// regions × 3 slots, whatever the size — so size to the expected
-// concurrent reader count, not to the lock count.  A few slots per P
-// is plenty.
-func NewReaderTable(min int, opts ...Option) *ReaderTable {
-	o := applyOptions(opts)
-	return newReaderTable(min, o.strategy)
-}
+// with WithSharedReaderTable.  Sizing guidance: the arena is split
+// into one region per P, and a region's size bounds how many locks'
+// readers can be on the fast path on one P at once without colliding
+// (a reader that cannot claim a slot in a bounded number of probes
+// takes its lock's slow path, which is correct but slower).  A
+// revocation reads only regions × 3 slots, whatever the size — so
+// size to the expected concurrent reader count, not to the lock
+// count.  A few slots per P is plenty.
+func NewReaderTable(min int) *ReaderTable { return newReaderTable(min) }
 
 // newReaderTable sizes the table to at least min entries and at least
 // four slots per P, rounded up to a power of two, and splits it into
 // nextPow2(GOMAXPROCS) regions.  Both counts are powers of two and
 // the size is at least 4·nextPow2(GOMAXPROCS), so every region has at
 // least four slots.
-func newReaderTable(min int, s WaitStrategy) *ReaderTable {
+func newReaderTable(min int) *ReaderTable {
 	procs := runtime.GOMAXPROCS(0)
 	n := 4 * procs
 	if n < min {
@@ -111,15 +106,11 @@ func newReaderTable(min int, s WaitStrategy) *ReaderTable {
 	}
 	n = 1 << bits.Len(uint(n-1))
 	regions := 1 << bits.Len(uint(procs-1))
-	t := &ReaderTable{
+	return &ReaderTable{
 		slots: make([]waitCell, n),
 		rmask: uint64(regions - 1),
 		span:  uint64(n / regions),
 	}
-	for i := range t.slots {
-		t.slots[i].setStrategy(s)
-	}
-	return t
 }
 
 // defaultReaderTable backs DefaultReaderTable: one process-wide arena,
@@ -134,14 +125,14 @@ var defaultReaderTable = sync.OnceValue(func() *ReaderTable {
 	if n > 4096 {
 		n = 4096
 	}
-	return newReaderTable(n, SpinYield)
+	return newReaderTable(n)
 })
 
 // DefaultReaderTable returns the package's process-wide shared arena,
 // created on first use: the table WithSharedReaderTable callers use
 // unless they construct their own, and the one the Slim locks default
 // to.  Sized to 32 slots per P (floor 64, cap 4096 — the BRAVO
-// paper's global table size), with SpinYield waits.  On 2 Ps it is
+// paper's global table size).  On 2 Ps it is
 // two regions of 32 slots, and a revocation reads 6 of its 64 slots.
 func DefaultReaderTable() *ReaderTable { return defaultReaderTable() }
 

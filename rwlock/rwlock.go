@@ -116,20 +116,15 @@
 //
 // The paper's processes busy-wait.  Every wait in this package goes
 // through a wait cell — one padded atomic word with a wait side and a
-// set+wake side — whose behavior is selected per lock with
-// WithWaitStrategy:
-//
-//   - SpinYield (default): re-check the word, runtime.Gosched every
-//     iteration.  This preserves the algorithms' structure and cost
-//     model exactly: each re-check is one read of one cached word
-//     that only the wake-up write invalidates, so passages stay O(1)
-//     RMRs on cache-coherent machines.
-//   - SpinThenPark: bounded local spinning, then park the goroutine
-//     on the cell's semaphore; the signalling side's write doubles as
-//     the wake.  Choose this when goroutines can outnumber
-//     GOMAXPROCS — spinning waiters would burn the scheduler quanta
-//     the lock holder needs — at the price of a slightly longer
-//     wake-to-run latency when the machine is idle.
+// set+wake side.  A waiter re-checks the word a bounded number of
+// times (each re-check is one read of one cached word that only the
+// wake-up write invalidates), yields the processor a few times, and
+// then parks the goroutine on the cell; the signalling side's write
+// doubles as the wake.  A parked waiter burns none of the scheduler
+// quanta the lock holder needs, so the same wait serves goroutines
+// that fit in GOMAXPROCS and goroutines that outnumber it.  The Slim
+// locks are the exception: a 16-byte lock has no cell to park on, so
+// their slow paths yield in a loop (see NewSlimBravo).
 //
 // Parking does not change the RMR accounting: the constant-RMR
 // property is a bound on cache traffic per passage, and a parked
@@ -169,11 +164,11 @@
 //
 // # Observability
 //
-// Every constructor accepts WithStats(*LockStats), attaching a
-// cache-padded block of atomic counters (acquire/contention tallies
-// per mode, fast-path revocations, epoch reclamation, combiner
-// batching, park/unpark traffic) plus sampled wait- and hold-time
-// histograms.  A wrapper and its inner lock built from one option
+// Every constructor of the paper's locks and their wrappers accepts
+// WithStats(*LockStats), attaching a cache-padded block of atomic
+// counters (acquire/contention tallies per mode, fast-path
+// revocations, epoch reclamation, combiner batching, park/unpark
+// traffic) plus sampled wait- and hold-time histograms.  A wrapper and its inner lock built from one option
 // list share one block, so each passage is counted once at the layer
 // that completed it.  Without the option the seam is a nil check on
 // paths the hot passages already execute — the uninstrumented build
@@ -182,8 +177,9 @@
 // checked with CheckCoherence; the rwstats package exports snapshots
 // over expvar, Prometheus text format, and JSON, and adds a stall
 // watchdog.  The Slim locks and the classical baselines live outside
-// the seam: they accept the option but count nothing (observe a Slim
-// grid through rwmap.Map.Heatmap instead).
+// the seam: the Slim locks accept the option but count nothing
+// (observe a Slim grid through rwmap.Map.Heatmap instead), and the
+// baselines take no options.
 package rwlock
 
 import "context"

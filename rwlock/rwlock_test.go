@@ -9,8 +9,8 @@ import (
 )
 
 // locks returns one instance of every lock in the package, keyed by
-// name, waiting with the given strategy (RWMutexLock has no strategy;
-// sync.RWMutex always parks).  The multi-writer locks appear twice:
+// name, built with opts (the baselines and RWMutexLock take no
+// options).  The multi-writer locks appear twice:
 // with the default unbounded MCS writer arbitration and, under a
 // "/bounded" suffix, with the Anderson-array arbitration capped at 4
 // concurrent writers — so every suite that iterates locks() covers
@@ -27,9 +27,9 @@ func locks(opts ...Option) map[string]RWLock {
 		"MWSF/bounded":        NewMWSF(bounded(b)...),
 		"MWRP/bounded":        NewMWRP(bounded(b)...),
 		"MWWP/bounded":        NewMWWP(bounded(b)...),
-		"CentralizedRW":       NewCentralizedRW(opts...),
-		"PhaseFairRW":         NewPhaseFairRW(opts...),
-		"TaskFairRW":          NewTaskFairRW(opts...),
+		"CentralizedRW":       NewCentralizedRW(),
+		"PhaseFairRW":         NewPhaseFairRW(),
+		"TaskFairRW":          NewTaskFairRW(),
 		"RWMutexLock":         NewRWMutexLock(),
 		"Bravo(MWSF)":         NewBravoMWSF(opts...),
 		"Bravo(MWRP)":         NewBravoMWRP(opts...),
@@ -103,18 +103,18 @@ func hammer(t *testing.T, l RWLock, writers, readers, iters int) {
 
 func TestMutualExclusionAllLocks(t *testing.T) {
 	const iters = 2000
-	for _, strat := range strategies() {
-		opt := WithWaitStrategy(strat)
+	for _, pass := range waitPasses() {
+		opt := pass.opt()
 		for name, l := range locks(opt) {
 			l := l
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				hammer(t, l, 4, 4, iters)
 			})
 		}
 		for name, l := range singleWriterLocks(opt) {
 			l := l
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				hammer(t, l, 1, 6, iters)
 			})

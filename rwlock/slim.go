@@ -29,7 +29,7 @@ import (
 //     writer bit, bias/epoch), i.e. the centralized reader-writer
 //     protocol the paper's baselines use, NOT the constant-RMR
 //     Bhatt & Jayanti machinery: slow waiters re-read the shared
-//     state word (Gosched-yield loops, SpinYield semantics).  That
+//     state word in runtime.Gosched loops and never park.  That
 //     is the deliberate trade — O(1)-RMR waiting needs per-waiter
 //     cells the footprint budget cannot carry, and with instances ≫
 //     cores the expected per-instance queue length is ~0, so there
@@ -154,8 +154,8 @@ type SlimBravo struct {
 
 // NewSlimBravo returns a read-biased SlimBravo.  The only options
 // honored are WithSharedReaderTable (default: DefaultReaderTable();
-// the table also supplies the wait strategy for revocation drains —
-// every other wait is a yield loop, see the file comment).
+// revocation drains wait on the table's cells, which park — every
+// other wait is a yield loop, see the file comment).
 func NewSlimBravo(opts ...Option) *SlimBravo {
 	l := &SlimBravo{ref: slimResolve(opts)}
 	l.state.Store(slimBias)

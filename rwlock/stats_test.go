@@ -418,11 +418,11 @@ func TestStatsEpochCounters(t *testing.T) {
 	}
 }
 
-// TestStatsParks forces an actual goroutine park under SpinThenPark
-// and checks the waitCell accounting balances at quiescence.
+// TestStatsParks forces an actual goroutine park and checks the
+// waitCell accounting balances at quiescence.
 func TestStatsParks(t *testing.T) {
 	st := &LockStats{}
-	l := NewMWSF(WithStats(st), WithWaitStrategy(SpinThenPark))
+	l := NewMWSF(WithStats(st))
 	tok := l.Lock()
 	released := make(chan struct{})
 	go func() {
@@ -435,7 +435,7 @@ func TestStatsParks(t *testing.T) {
 	<-released
 	s := st.Snapshot()
 	if s.Parks == 0 {
-		t.Error("parks == 0 after a 30ms blocked reader under SpinThenPark")
+		t.Error("parks == 0 after a 30ms blocked reader")
 	}
 	if s.Unparks != s.Parks {
 		t.Errorf("quiescent unparks %d != parks %d", s.Unparks, s.Parks)

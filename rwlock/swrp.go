@@ -32,15 +32,13 @@ type swrpCore struct {
 }
 
 // init sets the paper's initial values — D=0, Gate[0]=true, X = some
-// pid (0, smaller than every issued id), Permit=true, C=0 — selects
-// the wait strategy of every cell, and installs the stats block.
-func (l *swrpCore) init(s WaitStrategy, st *LockStats) {
+// pid (0, smaller than every issued id), Permit=true, C=0 — and
+// installs the stats block on the lock and every cell.
+func (l *swrpCore) init(st *LockStats) {
 	l.stats = st
 	for i := range l.gate {
-		l.gate[i].setStrategy(s)
 		l.gate[i].setStats(st)
 	}
-	l.permit.setStrategy(s)
 	l.permit.setStats(st)
 	l.gate[0].store(cellTrue)
 	l.permit.store(cellTrue)

@@ -11,7 +11,7 @@ import (
 // arbiter and the multi-writer arbitration layer as M; MWWP threads
 // it through the Figure 4 W-token handoff.  The
 // variables that distinct processes wait on are waitCells (one padded
-// word plus the wake seam of the chosen WaitStrategy); the counters,
+// word plus the park/wake seam); the counters,
 // which are only fetch&added and never waited on, stay plain padded
 // atomics.
 type swwpCore struct {
@@ -37,16 +37,13 @@ type paddedInt64 struct {
 }
 
 // init sets the paper's initial values — D=0, Gate[0]=true,
-// Gate[1]=false, counters zero — selects the wait strategy of every
-// cell, and installs the stats block (nil disables all accounting).
-func (l *swwpCore) init(s WaitStrategy, st *LockStats) {
+// Gate[1]=false, counters zero — and installs the stats block on the
+// lock and every cell (nil disables all accounting).
+func (l *swwpCore) init(st *LockStats) {
 	l.stats = st
-	l.exitPermit.setStrategy(s)
 	l.exitPermit.setStats(st)
 	for i := range l.permit {
-		l.permit[i].setStrategy(s)
 		l.permit[i].setStats(st)
-		l.gate[i].setStrategy(s)
 		l.gate[i].setStats(st)
 	}
 	l.gate[0].store(cellTrue)

@@ -42,7 +42,7 @@ func tryLocks(opts ...Option) map[string]interface {
 }
 
 // TestTryLockTruthTable pins the three states of the contract on
-// every lock × both wait strategies:
+// every lock, bare and instrumented:
 //
 //	free       → TryLock ok, TryRLock ok
 //	write-held → TryLock fails, TryRLock fails
@@ -52,11 +52,11 @@ func tryLocks(opts ...Option) map[string]interface {
 // paths — zero-length reader passages, bias restores, released
 // arbitration slots — must be complete).
 func TestTryLockTruthTable(t *testing.T) {
-	for _, strat := range strategies() {
-		opt := WithWaitStrategy(strat)
+	for _, pass := range waitPasses() {
+		opt := pass.opt()
 		for name, l := range tryLocks(opt) {
 			l := l
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 
 				// Free.
@@ -108,10 +108,9 @@ func TestTryLockTruthTable(t *testing.T) {
 
 // TestTryLockNonBlocking proves the probes cannot wait: with the lock
 // write-held, a probing goroutine must come back within the test's
-// generous bound even under SpinThenPark, where any accidental wait
-// would park it indefinitely.
+// generous bound: any accidental wait would park it indefinitely.
 func TestTryLockNonBlocking(t *testing.T) {
-	for name, l := range tryLocks(WithWaitStrategy(SpinThenPark)) {
+	for name, l := range tryLocks() {
 		l := l
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -206,14 +205,14 @@ func TestTryLockAllocFree(t *testing.T) {
 // single-writer lock gets one blocking writer and no TryLock writers:
 // by contract its Lock panics if any other write attempt overlaps it.
 func TestTryLockHammer(t *testing.T) {
-	for _, strat := range strategies() {
-		opt := WithWaitStrategy(strat)
+	for _, pass := range waitPasses() {
+		opt := pass.opt()
 		for name, l := range tryLocks(opt) {
 			l := l
 			_, swwp := l.(*SWWP)
 			_, swrp := l.(*SWRP)
 			single := swwp || swrp
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+			t.Run(name+"/"+string(pass), func(t *testing.T) {
 				t.Parallel()
 				var data int64 // plain, guarded only by l
 				var writes atomic.Int64
@@ -308,9 +307,9 @@ func TestBravoTryLockRestoresBias(t *testing.T) {
 // reader inside a writer's CS, which -race detects on the plain data
 // word.
 func TestBravoTryRLockVsRevocation(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			b := NewBravoMWSF(WithWaitStrategy(strat))
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
+			b := NewBravoMWSF(pass.opt())
 			var data int64 // plain, guarded only by b
 			var wg sync.WaitGroup
 			stop := make(chan struct{})

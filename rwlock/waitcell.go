@@ -10,58 +10,14 @@ import (
 // This file is the package's waiting layer.  Every wait in the paper's
 // algorithms is "read one word until it holds the value I need"; every
 // signal is one write of that word.  waitCell packages that pair — one
-// atomic word, a Wait side and a Set+Wake side — behind a pluggable
-// WaitStrategy, so the same algorithm text can either busy-wait (the
-// paper's cost model) or park the goroutine (the production regime
-// where goroutines outnumber cores).
-
-// WaitStrategy selects how goroutines wait on the package's locks.
-type WaitStrategy int32
-
-const (
-	// SpinYield re-reads the wait word in a loop, calling
-	// runtime.Gosched every iteration.  This is the paper's busy-wait
-	// realized cooperatively: each re-check is one read of one locally
-	// cached word, so a passage stays O(1) RMRs, and the goroutine
-	// never blocks.  It is the default, and the right choice when
-	// goroutines do not exceed GOMAXPROCS: the wake-to-run latency is
-	// one cache-line transfer.
-	SpinYield WaitStrategy = iota
-
-	// SpinThenPark spins briefly (bounded local re-checks, then a few
-	// scheduler yields), and then parks the goroutine on a per-cell
-	// semaphore until the signalling side wakes it.  Under
-	// oversubscription (goroutines ≫ GOMAXPROCS) this is dramatically
-	// faster: a spinning waiter burns whole scheduler quanta that the
-	// lock holder needs to make progress, while a parked waiter costs
-	// nothing until the handoff.  Wake-to-run latency is higher than
-	// SpinYield's, so lightly loaded low-latency use favors SpinYield.
-	//
-	// Parking does not change the RMR accounting: the waiter performs
-	// O(1) RMRs before parking, the sleep itself generates no memory
-	// traffic, and the signaller's wake is one store plus (only when a
-	// waiter is actually parked) one semaphore post.
-	SpinThenPark
-)
-
-// String names the strategy the way the lock registry does ("spin",
-// "park").
-func (s WaitStrategy) String() string {
-	switch s {
-	case SpinYield:
-		return "spin"
-	case SpinThenPark:
-		return "park"
-	default:
-		return "unknown"
-	}
-}
+// atomic word, a Wait side and a Set+Wake side — so the algorithm text
+// stays the paper's busy-wait while the goroutine spins briefly and
+// then parks (see the "Waiting" section of the package doc).
 
 // Option configures a lock constructor.
 type Option func(*options)
 
 type options struct {
-	strategy WaitStrategy
 	// boundedWriters > 0 selects the bounded Anderson-array writer
 	// arbitration with that capacity; 0 (the default) selects the
 	// unbounded MCS queue.  See WithBoundedWriters in mcs.go.
@@ -106,21 +62,15 @@ type options struct {
 //     costs exactly what Bravo's fast path does.  Grace waits scan
 //     the lock's candidate slots like Bravo's revocations.
 //
-// Pass DefaultReaderTable() unless you need your own sizing or wait
-// strategy.  The option is ignored by constructors without a reader
-// fast path (the inner-lock constructors), mirroring the other
-// layer-specific options.  tbl must not be nil.
+// Pass DefaultReaderTable() unless you need your own sizing.  The
+// option is ignored by constructors without a reader fast path (the
+// inner-lock constructors), mirroring the other layer-specific
+// options.  tbl must not be nil.
 func WithSharedReaderTable(tbl *ReaderTable) Option {
 	if tbl == nil {
 		panic("rwlock: WithSharedReaderTable needs a non-nil table")
 	}
 	return func(o *options) { o.sharedTable = tbl }
-}
-
-// WithWaitStrategy selects the waiting layer's behavior for every wait
-// inside the constructed lock.  The default is SpinYield.
-func WithWaitStrategy(s WaitStrategy) Option {
-	return func(o *options) { o.strategy = s }
 }
 
 // applyOptions keeps the zero-options path escape-free: passing &o to
@@ -144,7 +94,7 @@ func applyOptionsAll(opts []Option) options {
 	return o
 }
 
-// Bounds of SpinThenPark's pre-park phase: parkSpin tight re-checks
+// Bounds of every wait's pre-park phase: parkSpin tight re-checks
 // (the word is locally cached, so this costs no memory traffic), then
 // parkYield scheduler yields, then the semaphore.  The numbers are
 // small on purpose: when the machine is NOT oversubscribed the wake
@@ -169,8 +119,7 @@ const (
 // touched only when a waiter actually parks, or by the signaller's
 // single parked-count probe.
 //
-// The zero value is a ready-to-use SpinYield cell holding 0; call
-// setStrategy before first use to opt into parking.
+// The zero value is a ready-to-use cell holding 0.
 type waitCell struct {
 	v atomic.Int64
 	_ [56]byte
@@ -182,8 +131,6 @@ type waitCell struct {
 	// SECOND.  sync/atomic is sequentially consistent, so one of the
 	// two always sees the other — the standard futex handshake — and a
 	// wake cannot be lost.
-	park   bool
-	_      [3]byte
 	parked atomic.Int32
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -194,14 +141,9 @@ type waitCell struct {
 	_     [32]byte
 }
 
-// setStrategy selects the cell's wait behavior.  Not safe to call
-// concurrently with waits; lock constructors call it before the lock
-// escapes.
-func (c *waitCell) setStrategy(s WaitStrategy) { c.park = s == SpinThenPark }
-
 // setStats installs the owning lock's counter block on the cell so
-// actual goroutine parks are counted.  Like setStrategy, it must be
-// called before the cell is waited on.
+// actual goroutine parks are counted.  Not safe to call concurrently
+// with waits; lock constructors call it before the lock escapes.
 func (c *waitCell) setStats(st *LockStats) { c.stats = st }
 
 // load returns the cell's current value.
@@ -237,8 +179,8 @@ func (c *waitCell) addWake(delta int64) int64 {
 }
 
 // wakeAll wakes every parked waiter so each re-checks its condition.
-// When nobody is parked (always, under SpinYield) it is one relaxed
-// load of the cold line.
+// When nobody is parked (the common case: most waits end inside the
+// spin phase) it is one load of the cold line.
 func (c *waitCell) wakeAll() {
 	if c.parked.Load() == 0 {
 		return
@@ -253,12 +195,6 @@ func (c *waitCell) wakeAll() {
 // wait blocks until the cell's word equals want.
 func (c *waitCell) wait(want int64) {
 	if c.v.Load() == want {
-		return
-	}
-	if !c.park {
-		for c.v.Load() != want {
-			runtime.Gosched()
-		}
 		return
 	}
 	for i := 0; i < parkSpin; i++ {
@@ -281,12 +217,6 @@ func (c *waitCell) wait(want int64) {
 // every wait condition in this package has.
 func (c *waitCell) waitUntil(pred func(int64) bool) {
 	if pred(c.v.Load()) {
-		return
-	}
-	if !c.park {
-		for !pred(c.v.Load()) {
-			runtime.Gosched()
-		}
 		return
 	}
 	for i := 0; i < parkSpin; i++ {
@@ -347,22 +277,6 @@ func (c *waitCell) waitCtx(ctx context.Context, want int64) error {
 		c.wait(want)
 		return nil
 	}
-	if !c.park {
-		for c.v.Load() != want {
-			select {
-			case <-done:
-				// Final re-check: the wake may have landed in the same
-				// instant; the condition wins.
-				if c.v.Load() == want {
-					return nil
-				}
-				return ctx.Err()
-			default:
-			}
-			runtime.Gosched()
-		}
-		return nil
-	}
 	for i := 0; i < parkSpin; i++ {
 		if c.v.Load() == want {
 			return nil
@@ -387,20 +301,6 @@ func (c *waitCell) waitUntilCtx(ctx context.Context, pred func(int64) bool) erro
 	done := ctx.Done()
 	if done == nil {
 		c.waitUntil(pred)
-		return nil
-	}
-	if !c.park {
-		for !pred(c.v.Load()) {
-			select {
-			case <-done:
-				if pred(c.v.Load()) {
-					return nil
-				}
-				return ctx.Err()
-			default:
-			}
-			runtime.Gosched()
-		}
 		return nil
 	}
 	for i := 0; i < parkSpin; i++ {

@@ -8,13 +8,14 @@ import (
 	"time"
 )
 
-// TestWaitCellStoreWake: a single waiter, both strategies — the
-// wait/Set+Wake handshake in isolation.
+// TestWaitCellStoreWake: a single waiter — the wait/Set+Wake handshake
+// in isolation.
 func TestWaitCellStoreWake(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
 			var c waitCell
-			c.setStrategy(strat)
+			st := pass.st()
+			c.setStats(st)
 			done := make(chan struct{})
 			go func() {
 				c.wait(7)
@@ -25,6 +26,7 @@ func TestWaitCellStoreWake(t *testing.T) {
 				t.Fatal("wait returned before the store")
 			case <-time.After(10 * time.Millisecond):
 			}
+			awaitPark(t, st)
 			c.storeWake(7)
 			select {
 			case <-done:
@@ -34,6 +36,7 @@ func TestWaitCellStoreWake(t *testing.T) {
 			if c.parked.Load() != 0 {
 				t.Fatalf("parked count %d after wake, want 0", c.parked.Load())
 			}
+			checkParks(t, st)
 		})
 	}
 }
@@ -41,10 +44,11 @@ func TestWaitCellStoreWake(t *testing.T) {
 // TestWaitCellBroadcast: many goroutines parked on one cell (readers
 // on a gate) must ALL be released by one storeWake.
 func TestWaitCellBroadcast(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
 			var c waitCell
-			c.setStrategy(strat)
+			st := pass.st()
+			c.setStats(st)
 			const n = 16
 			var woken atomic.Int32
 			var wg sync.WaitGroup
@@ -57,11 +61,13 @@ func TestWaitCellBroadcast(t *testing.T) {
 				}()
 			}
 			time.Sleep(20 * time.Millisecond) // let waiters park
+			awaitPark(t, st)
 			c.storeWake(cellTrue)
 			wg.Wait()
 			if woken.Load() != n {
 				t.Fatalf("woke %d of %d waiters", woken.Load(), n)
 			}
+			checkParks(t, st)
 		})
 	}
 }
@@ -69,10 +75,11 @@ func TestWaitCellBroadcast(t *testing.T) {
 // TestWaitCellWaitUntil: predicate waits (the baselines' masked
 // conditions) wake on adds.
 func TestWaitCellWaitUntil(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
 			var c waitCell
-			c.setStrategy(strat)
+			st := pass.st()
+			c.setStats(st)
 			c.store(3)
 			done := make(chan struct{})
 			go func() {
@@ -86,12 +93,14 @@ func TestWaitCellWaitUntil(t *testing.T) {
 				t.Fatal("waitUntil returned with value 1")
 			case <-time.After(10 * time.Millisecond):
 			}
+			awaitPark(t, st)
 			c.addWake(-1)
 			select {
 			case <-done:
 			case <-time.After(2 * time.Second):
 				t.Fatal("waitUntil not released at 0")
 			}
+			checkParks(t, st)
 		})
 	}
 }
@@ -102,8 +111,6 @@ func TestWaitCellWaitUntil(t *testing.T) {
 // also checks the parking path's memory discipline.
 func TestWaitCellWakeRace(t *testing.T) {
 	var ping, pong waitCell
-	ping.setStrategy(SpinThenPark)
-	pong.setStrategy(SpinThenPark)
 	const rounds = 5000
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -131,13 +138,13 @@ func TestWaitCellWakeRace(t *testing.T) {
 }
 
 // TestWaitCellWaitCtxWake: an uncancelled waitCtx behaves exactly
-// like wait — released by the signal, returning nil — under both
-// strategies.
+// like wait — released by the signal, returning nil.
 func TestWaitCellWaitCtxWake(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
 			var c waitCell
-			c.setStrategy(strat)
+			st := pass.st()
+			c.setStats(st)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			done := make(chan error, 1)
@@ -147,6 +154,7 @@ func TestWaitCellWaitCtxWake(t *testing.T) {
 				t.Fatal("waitCtx returned before the store")
 			case <-time.After(10 * time.Millisecond):
 			}
+			awaitPark(t, st)
 			c.storeWake(7)
 			select {
 			case err := <-done:
@@ -159,6 +167,7 @@ func TestWaitCellWaitCtxWake(t *testing.T) {
 			if c.parked.Load() != 0 {
 				t.Fatalf("parked count %d after wake, want 0", c.parked.Load())
 			}
+			checkParks(t, st)
 		})
 	}
 }
@@ -168,14 +177,16 @@ func TestWaitCellWaitCtxWake(t *testing.T) {
 // parked-count leak — the leak would silently break wakeAll's
 // nobody-parked fast path forever after.
 func TestWaitCellWaitCtxCancel(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
 			var c waitCell
-			c.setStrategy(strat)
+			st := pass.st()
+			c.setStats(st)
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() { done <- c.waitCtx(ctx, 7) }()
 			time.Sleep(10 * time.Millisecond) // let the waiter park
+			awaitPark(t, st)
 			cancel()
 			select {
 			case err := <-done:
@@ -195,6 +206,7 @@ func TestWaitCellWaitCtxCancel(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatalf("post-cancel waitCtx = %v, want nil", err)
 			}
+			checkParks(t, st)
 		})
 	}
 }
@@ -227,10 +239,11 @@ func TestWaitCellWaitCtxAlreadySatisfied(t *testing.T) {
 // TestWaitCellWaitUntilCtxCancel: the predicate form's cancellation
 // path, including a waiter that is later re-satisfied.
 func TestWaitCellWaitUntilCtxCancel(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
 			var c waitCell
-			c.setStrategy(strat)
+			st := pass.st()
+			c.setStats(st)
 			c.store(3)
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
@@ -239,6 +252,7 @@ func TestWaitCellWaitUntilCtxCancel(t *testing.T) {
 			}()
 			c.addWake(-1) // 2: not yet satisfied
 			time.Sleep(10 * time.Millisecond)
+			awaitPark(t, st)
 			cancel()
 			if err := <-done; err != context.Canceled {
 				t.Fatalf("waitUntilCtx = %v, want context.Canceled", err)
@@ -246,22 +260,24 @@ func TestWaitCellWaitUntilCtxCancel(t *testing.T) {
 			if c.parked.Load() != 0 {
 				t.Fatalf("parked count %d after cancel, want 0", c.parked.Load())
 			}
+			checkParks(t, st)
 		})
 	}
 }
 
 // TestWaitCellCancelVsWakeRace races a storeWake against a cancel for
-// the same parked waiter, many rounds, under both strategies.  Either
+// the same parked waiter, many rounds.  Either
 // outcome is legal, but the contract pins one asymmetry: when waitCtx
 // returns nil the value was observed, and when it returns an error a
 // LATER waiter must still be wakeable (no lost wakeup, no leaked
 // parked count).  Run under -race this also exercises the
 // AfterFunc-vs-broadcast path in parkUntilCtx.
 func TestWaitCellCancelVsWakeRace(t *testing.T) {
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, pass := range waitPasses() {
+		t.Run(string(pass), func(t *testing.T) {
 			var c waitCell
-			c.setStrategy(strat)
+			st := pass.st()
+			c.setStats(st)
 			const rounds = 2000
 			for i := 0; i < rounds; i++ {
 				c.store(0)
@@ -286,16 +302,40 @@ func TestWaitCellCancelVsWakeRace(t *testing.T) {
 					t.Fatalf("round %d: parked count %d leaked", i, n)
 				}
 			}
+			checkParks(t, st)
 		})
 	}
 }
 
-// TestWaitStrategyString pins the names the lock registry builds on.
-func TestWaitStrategyString(t *testing.T) {
-	if SpinYield.String() != "spin" || SpinThenPark.String() != "park" {
-		t.Fatalf("strategy names changed: %q/%q", SpinYield, SpinThenPark)
-	}
-	if WaitStrategy(99).String() != "unknown" {
-		t.Fatalf("out-of-range strategy name %q", WaitStrategy(99))
+// TestDefaultLocksPark pins the default wait: every lock built with no
+// option but WithStats spins briefly and then parks.  A reader blocked
+// behind a held write lock must be counted as parked well before the
+// bound, and once the writer leaves every park must be matched by an
+// unpark.
+func TestDefaultLocksPark(t *testing.T) {
+	for name, mk := range map[string]func(st *LockStats) RWLock{
+		"MWSF":        func(st *LockStats) RWLock { return NewMWSF(WithStats(st)) },
+		"MWRP":        func(st *LockStats) RWLock { return NewMWRP(WithStats(st)) },
+		"MWWP":        func(st *LockStats) RWLock { return NewMWWP(WithStats(st)) },
+		"Bravo(MWSF)": func(st *LockStats) RWLock { return NewBravoMWSF(WithStats(st)) },
+	} {
+		mk := mk
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			st := new(LockStats)
+			l := mk(st)
+			wt := l.Lock()
+			done := make(chan struct{})
+			go func() {
+				l.RUnlock(l.RLock())
+				close(done)
+			}()
+			waitFor(t, "the blocked reader to park", func() bool { return st.Snapshot().Parks >= 1 })
+			l.Unlock(wt)
+			recvWithin(t, done, "the reader after the writer left")
+			if s := st.Snapshot(); s.Unparks != s.Parks {
+				t.Fatalf("quiescent unparks %d != parks %d", s.Unparks, s.Parks)
+			}
+		})
 	}
 }
