@@ -2,7 +2,9 @@
 // in DESIGN.md) on the cache-coherent simulator: it executes the
 // paper's algorithms and the baselines across process-count sweeps
 // and prints RMRs per passage by role, demonstrating Theorems 1-5
-// (flat, constant rows) against the growing baseline rows.
+// (flat, constant rows) against the growing baseline rows.  Each
+// experiment is a one-system simulator scenario run through
+// harness.RunScenario, the engine rwbench's scenarios use.
 //
 // Usage:
 //
@@ -74,34 +76,37 @@ func run(args []string, out io.Writer) error {
 		experiments = kept
 	}
 
-	for _, e := range experiments {
-		rows, err := harness.RMRSweep(builders[e.name], e.points, *attempts, *seed)
+	// sweep runs one system over points as a simulator scenario and
+	// prints its RMR table.
+	sweep := func(id, system string, points [][2]int, dsm bool, title string) error {
+		res, err := harness.RunScenario(harness.Scenario{
+			Name: id,
+			Sim:  &harness.SimShape{Systems: []string{system}, Points: points, Attempts: *attempts, DSM: dsm},
+		}, harness.ScenarioOptions{Seed: *seed})
 		if err != nil {
 			return err
 		}
-		title := fmt.Sprintf("%s: %s — RMRs per passage (CC model, %d attempts/proc, seed %d)",
-			e.id, e.name, *attempts, *seed)
-		t := harness.RMRTable(title, rows)
+		t := harness.RMRTable(title, res.Points)
 		if *markdown {
 			fmt.Fprintln(out, t.Markdown())
 		} else {
 			fmt.Fprintln(out, t.Render())
 		}
+		return nil
 	}
-
+	for _, e := range experiments {
+		title := fmt.Sprintf("%s: %s — RMRs per passage (CC model, %d attempts/proc, seed %d)",
+			e.id, e.name, *attempts, *seed)
+		if err := sweep(e.id, e.name, e.points, false, title); err != nil {
+			return err
+		}
+	}
 	if *dsm {
 		for _, name := range []string{"fig1-swwp", "fig2-swrp"} {
-			rows, err := harness.RMRSweepDSM(builders[name], harness.SingleWriterPoints(), *attempts, *seed)
-			if err != nil {
-				return err
-			}
 			title := fmt.Sprintf("E9: %s under the DSM model — the O(1) bound is CC-specific "+
 				"(Danek-Hadzilacos: sublinear DSM is impossible)", name)
-			t := harness.RMRTable(title, rows)
-			if *markdown {
-				fmt.Fprintln(out, t.Markdown())
-			} else {
-				fmt.Fprintln(out, t.Render())
+			if err := sweep("E9", name, harness.SingleWriterPoints(), true, title); err != nil {
+				return err
 			}
 		}
 	}

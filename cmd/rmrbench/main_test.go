@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,6 +65,35 @@ func TestRunAllExperimentsSmoke(t *testing.T) {
 	for _, id := range []string{"E1:", "E2:", "E3a:", "E3b:", "E3c:", "E4a:", "E4b:", "E4c:"} {
 		if !strings.Contains(b.String(), id) {
 			t.Fatalf("missing experiment %s", id)
+		}
+	}
+}
+
+// TestRMRCountsPinned compares rmrbench's output byte for byte with
+// recorded tables.  The counts are deterministic for a seed (the
+// simulator's scheduler is seeded), so any change to an encoding, the
+// scheduler, the RMR accounting or the sweep plumbing that moves a
+// count fails here.  An intended change regenerates the files with
+// the same arguments:
+//
+//	go run ./cmd/rmrbench -algo mwsf -attempts 4 > cmd/rmrbench/testdata/mwsf-attempts4.golden
+//	go run ./cmd/rmrbench -algo fig1-swwp -attempts 4 -dsm > cmd/rmrbench/testdata/fig1-swwp-attempts4-dsm.golden
+func TestRMRCountsPinned(t *testing.T) {
+	for golden, args := range map[string][]string{
+		"mwsf-attempts4.golden":          {"-algo", "mwsf", "-attempts", "4"},
+		"fig1-swwp-attempts4-dsm.golden": {"-algo", "fig1-swwp", "-attempts", "4", "-dsm"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := run(args, &b); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.String(); got != string(want) {
+			t.Errorf("rmrbench %v output changed:\n--- got\n%s--- want (testdata/%s)\n%s",
+				args, got, golden, want)
 		}
 	}
 }

@@ -12,19 +12,36 @@ import (
 )
 
 func TestParseIntList(t *testing.T) {
-	got, err := parseIntList("1, 2,8")
+	got, err := parseIntList("workers", "1, 2,8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 8 {
 		t.Fatalf("parseIntList = %v", got)
 	}
-	if _, err := parseIntList("1,x"); err == nil {
+	if _, err := parseIntList("workers", "1,x"); err == nil {
 		t.Fatal("expected error for non-integer")
 	}
-	got, err = parseIntList("4,")
+	got, err = parseIntList("workers", "4,")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("trailing comma: %v %v", got, err)
+	}
+}
+
+// TestRunListErrorsNameTheFlag: -workers, -stripes and -skew share
+// the list parsers, so a malformed entry's error must say which flag
+// it came from, not describe every list as worker counts.
+func TestRunListErrorsNameTheFlag(t *testing.T) {
+	var b strings.Builder
+	for flag, args := range map[string][]string{
+		"-stripes": {"-scenario", "zipf-grid", "-stripes", "4x"},
+		"-workers": {"-scenario", "zipf-grid", "-workers", "2x"},
+		"-skew":    {"-scenario", "zipf-grid", "-skew", "1.x"},
+	} {
+		err := run(args, &b)
+		if err == nil || !strings.Contains(err.Error(), flag+":") {
+			t.Errorf("%v: error = %v, want one naming %s", args, err, flag)
+		}
 	}
 }
 
@@ -47,7 +64,9 @@ func TestRunQuick(t *testing.T) {
 
 func TestRunMarkdownOutput(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "1", "-markdown"}, &b); err != nil {
+	// Two workers: -workers reaches the default pair's priority storm
+	// too, which needs a writer and a reader.
+	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-markdown"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "| workers | read% |") {
@@ -203,7 +222,6 @@ func TestRunRejectsEmptySelections(t *testing.T) {
 func TestRunJSONOutput(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-json",
-		"-oversub", "-oversub-workers", "8", "-oversub-duration", "20ms",
 		"-locks", "MWSF,Bravo(MWSF),sync.RWMutex"}, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -211,20 +229,28 @@ func TestRunJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, b.String())
 	}
-	if rep.GOMAXPROCS <= 0 || len(rep.Locks) != 3 {
-		t.Fatalf("metadata missing: %+v", rep)
+	if rep.GOMAXPROCS <= 0 || len(rep.Scenarios) != 2 {
+		t.Fatalf("metadata or scenarios missing: %+v", rep)
 	}
-	if len(rep.Throughput) == 0 || len(rep.Priority) == 0 || len(rep.Oversubscribed) == 0 {
-		t.Fatalf("sweep points missing: tp=%d prio=%d oversub=%d",
-			len(rep.Throughput), len(rep.Priority), len(rep.Oversubscribed))
-	}
-	for _, p := range rep.Oversubscribed {
-		if p.Workers != 8 || p.OpsPerSec <= 0 {
-			t.Fatalf("bad oversubscribed point %+v", p)
+	// The default selection is the throughput+priority pair, each with
+	// the narrowed lock set and worker grid applied.
+	for i, want := range []string{"throughput", "priority"} {
+		sr := rep.Scenarios[i]
+		if sr.Scenario.Name != want {
+			t.Fatalf("scenario %d = %s, want %s", i, sr.Scenario.Name, want)
+		}
+		if len(sr.Scenario.Locks) != 3 || len(sr.Points) == 0 {
+			t.Fatalf("%s: locks %v, %d points", want, sr.Scenario.Locks, len(sr.Points))
+		}
+		for _, p := range sr.Points {
+			if p.Workers != 2 || p.OpsPerSec <= 0 {
+				t.Fatalf("%s: bad point %+v", want, p)
+			}
 		}
 	}
-	// Tables must not leak into machine-readable output.
-	if strings.Contains(b.String(), "E7:") {
+	// Tables must not leak into machine-readable output: one line,
+	// one object.
+	if out := strings.TrimSpace(b.String()); !strings.HasPrefix(out, "{") || strings.Contains(out, "\n") {
 		t.Fatalf("table text mixed into -json output:\n%s", b.String())
 	}
 }
@@ -242,15 +268,18 @@ func TestRunScenarioSelection(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "E7: native throughput") {
-		t.Fatalf("-scenario must replace the classic pair:\n%s", out)
+		t.Fatalf("-scenario must replace the default pair:\n%s", out)
 	}
 }
 
+// TestRunScenarioRejectsOversubFlag: the oversubscription experiment
+// is the "oversub" scenario, and -oversub is refused as an unknown
+// flag rather than silently ignored.
 func TestRunScenarioRejectsOversubFlag(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-scenario", "throughput", "-oversub"}, &b); err == nil ||
 		!strings.Contains(err.Error(), "oversub") {
-		t.Fatalf("-oversub with -scenario must be rejected, got %v", err)
+		t.Fatalf("-oversub must be rejected, got %v", err)
 	}
 }
 
@@ -395,7 +424,7 @@ func TestRunScenarioAgeFrontier(t *testing.T) {
 			t.Errorf("age-frontier table missing %q column:\n%s", col, out)
 		}
 	}
-	for _, lock := range []string{"MWSF", "Bravo(MWSF)", "MWSF/epoch", "MWSF/epoch/lazy64"} {
+	for _, lock := range []string{"MWSF", "Bravo(MWSF)", "MWSF/epoch"} {
 		if !strings.Contains(out, lock) {
 			t.Errorf("age-frontier table missing %q row:\n%s", lock, out)
 		}
@@ -435,6 +464,8 @@ func TestValidateFlagOnFile(t *testing.T) {
 	}
 }
 
+// TestLegacyJSONCarriesSchemaVersion: an emission of the default
+// selection (no -scenario) carries the schema version and validates.
 func TestLegacyJSONCarriesSchemaVersion(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-json",
@@ -442,14 +473,13 @@ func TestLegacyJSONCarriesSchemaVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := validateReport([]byte(b.String())); err != nil {
-		t.Fatalf("legacy-path emission fails validation: %v", err)
+		t.Fatalf("default-selection emission fails validation: %v", err)
 	}
 }
 
 func TestRunOversubTable(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "1",
-		"-oversub", "-oversub-workers", "8", "-oversub-duration", "20ms",
+	if err := run([]string{"-quick", "-scenario", "oversub", "-workers", "8",
 		"-locks", "MWSF,sync.RWMutex"}, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -462,14 +492,14 @@ func TestRunOversubTable(t *testing.T) {
 }
 
 func TestParseFloatList(t *testing.T) {
-	got, err := parseFloatList("0, 1.07,1.5")
+	got, err := parseFloatList("skew", "0, 1.07,1.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 0 || got[1] != 1.07 || got[2] != 1.5 {
 		t.Fatalf("parseFloatList = %v", got)
 	}
-	if _, err := parseFloatList("1.07,x"); err == nil {
+	if _, err := parseFloatList("skew", "1.07,x"); err == nil {
 		t.Fatal("expected error for non-number")
 	}
 }
@@ -531,13 +561,13 @@ func TestRunScenarioZipfGridJSONValidates(t *testing.T) {
 
 // TestRunRejectsShardedOverridesElsewhere: -stripes/-skew must be
 // rejected — naming the sharded scenarios — when the selection has no
-// stripe axis, when there is no -scenario at all, and when the value
-// parses to nothing.
+// stripe axis (an explicit flat one, or the default pair) and when the
+// value parses to nothing.
 func TestRunRejectsShardedOverridesElsewhere(t *testing.T) {
 	var b strings.Builder
 	for name, args := range map[string][]string{
 		"flat scenario": {"-scenario", "latency-grid", "-stripes", "4"},
-		"classic path":  {"-skew", "1.07"},
+		"default pair":  {"-skew", "1.07"},
 	} {
 		err := run(args, &b)
 		if err == nil || !strings.Contains(err.Error(), "zipf-grid") {
@@ -582,21 +612,24 @@ func TestValidateShardedFields(t *testing.T) {
 
 func TestRunOversubDefaultLocks(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "1", "-json",
-		"-oversub", "-oversub-workers", "8", "-oversub-duration", "20ms"}, &b); err != nil {
+	if err := run([]string{"-quick", "-workers", "8", "-json", "-scenario", "oversub"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	var rep report
 	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
 		t.Fatal(err)
 	}
-	// Without -locks, the oversub sweep must use its own set, not the
-	// E7 default.
-	if want := harness.OversubLockNames(); !slices.Equal(rep.OversubLocks, want) {
-		t.Fatalf("default -oversub locks = %v, want %v", rep.OversubLocks, want)
+	if len(rep.Scenarios) != 1 {
+		t.Fatalf("got %d scenarios, want 1", len(rep.Scenarios))
 	}
-	if rep.OversubGOMAXPROCS != 2 {
-		t.Fatalf("oversub GOMAXPROCS = %d, want pinned 2", rep.OversubGOMAXPROCS)
+	// Without -locks, the oversub scenario must use its own set, not
+	// the E7 default.
+	sr := rep.Scenarios[0]
+	if want := harness.OversubLockNames(); !slices.Equal(sr.Scenario.Locks, want) {
+		t.Fatalf("default oversub locks = %v, want %v", sr.Scenario.Locks, want)
+	}
+	if sr.GOMAXPROCS != 2 {
+		t.Fatalf("oversub GOMAXPROCS = %d, want pinned 2", sr.GOMAXPROCS)
 	}
 }
 
@@ -699,11 +732,20 @@ func TestRunScenarioMetricsJSONValidates(t *testing.T) {
 	}
 }
 
+// TestRunMetricsRequiresScenario: -metrics needs a native scenario in
+// the selection.  The default pair is one, so a bare -metrics run
+// instruments it; a simulator-only selection is rejected.
 func TestRunMetricsRequiresScenario(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-metrics"}, &b); err == nil ||
-		!strings.Contains(err.Error(), "-metrics requires") {
-		t.Fatalf("classic path accepted -metrics: %v", err)
+	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-json", "-metrics",
+		"-locks", "MWSF"}, &b); err != nil {
+		t.Fatalf("default pair rejected -metrics: %v", err)
+	}
+	if err := validateReport([]byte(b.String())); err != nil {
+		t.Fatalf("default-pair -metrics emission fails validation: %v", err)
+	}
+	if !strings.Contains(b.String(), `"counters"`) {
+		t.Fatalf("default-pair -metrics emission carries no counters:\n%s", b.String())
 	}
 	if err := run([]string{"-quick", "-metrics", "-scenario", "rmr"}, &b); err == nil ||
 		!strings.Contains(err.Error(), "-metrics applies to no selected scenario") {

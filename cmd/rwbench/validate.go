@@ -55,24 +55,8 @@ func validateReport(raw []byte) error {
 	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 {
 		return fmt.Errorf("run metadata missing (gomaxprocs=%d numcpu=%d)", rep.GOMAXPROCS, rep.NumCPU)
 	}
-	if len(rep.Throughput) == 0 && len(rep.Priority) == 0 &&
-		len(rep.Oversubscribed) == 0 && len(rep.Scenarios) == 0 {
+	if len(rep.Scenarios) == 0 {
 		return fmt.Errorf("report carries no measurements")
-	}
-	for _, p := range rep.Throughput {
-		if p.Lock == "" || p.Workers <= 0 || p.OpsPerSec <= 0 {
-			return fmt.Errorf("bad throughput point %+v", p)
-		}
-	}
-	for _, p := range rep.Oversubscribed {
-		if p.Lock == "" || p.Workers <= 0 || p.OpsPerSec <= 0 {
-			return fmt.Errorf("bad oversubscribed point %+v", p)
-		}
-	}
-	for _, p := range rep.Priority {
-		if p.Lock == "" {
-			return fmt.Errorf("bad priority point %+v", p)
-		}
 	}
 	for _, sr := range rep.Scenarios {
 		if err := validateScenarioResult(sr); err != nil {

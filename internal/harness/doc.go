@@ -21,13 +21,13 @@
 // -scenario, rendered by ScenarioTable, and carried losslessly
 // (full histograms) by the rwbench -json schema.
 //
-// The four historical sweeps are registry entries run through the
-// same core — "throughput" (E7), "priority" (E8), "oversub" (E12) and
-// "rmr"/"rmr-dsm" (E1-E4/E9) — and their legacy function entry points
-// (ThroughputSweepLocks, PrioritySweepLocks, OversubscribedSweepLocks,
-// RMRSweep, RMRSweepDSM) survive as thin adapters over RunScenario.
-// The engine-native scenarios measure what the hand-coded sweeps
-// never could: "bursty-writers" (an administrative writer's update
+// The numbered experiments are registry entries run through the same
+// core — "throughput" (E7) and "priority" (E8), rwbench's default
+// selection, "oversub" (E12) and "rmr"/"rmr-dsm" (E1-E4/E9) — and
+// there is no other entry point: cmd/rmrbench runs each of its RMR
+// experiments as a one-system SimShape scenario and renders it with
+// RMRTable.  The other scenarios measure what a plain throughput
+// sweep cannot: "bursty-writers" (an administrative writer's update
 // wait latency and readers' view age under a storm — the kvstore
 // example's measurement, promoted), "starvation" (the reader
 // wait-latency tail under a writer flood), and "latency-grid" (full

@@ -9,57 +9,55 @@ import (
 	"rwsync/rwlock"
 )
 
-func TestRMRSweepFlatForFig1(t *testing.T) {
-	builders := Builders()
-	rows, err := RMRSweep(builders["fig1-swwp"], [][2]int{{1, 2}, {1, 16}}, 6, 1)
+// rmrPoints runs one named simulator system over points as a
+// scenario, the way cmd/rmrbench does.
+func rmrPoints(t *testing.T, system string, points [][2]int, attempts int, dsm bool) []ScenarioPoint {
+	t.Helper()
+	res, err := RunScenario(Scenario{
+		Name: "rmr-test",
+		Sim:  &SimShape{Systems: []string{system}, Points: points, Attempts: attempts, DSM: dsm},
+	}, ScenarioOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res.Points
+}
+
+func TestRMRFlatForFig1(t *testing.T) {
+	rows := rmrPoints(t, "fig1-swwp", [][2]int{{1, 2}, {1, 16}}, 6, false)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	// Theorem 1: the writer's worst RMR must not grow with readers.
-	if rows[1].Writer.Max > rows[0].Writer.Max+2 {
-		t.Fatalf("fig1 writer RMR grew: %d -> %d", rows[0].Writer.Max, rows[1].Writer.Max)
+	if rows[1].WriterRMR.Max > rows[0].WriterRMR.Max+2 {
+		t.Fatalf("fig1 writer RMR grew: %d -> %d", rows[0].WriterRMR.Max, rows[1].WriterRMR.Max)
 	}
 }
 
-func TestRMRSweepGrowsForCentralized(t *testing.T) {
-	builders := Builders()
-	rows, err := RMRSweep(builders["centralized"], [][2]int{{1, 2}, {8, 64}}, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[1].Reader.Max <= rows[0].Reader.Max {
-		t.Fatalf("centralized reader RMR did not grow: %d -> %d", rows[0].Reader.Max, rows[1].Reader.Max)
+func TestRMRGrowsForCentralized(t *testing.T) {
+	rows := rmrPoints(t, "centralized", [][2]int{{1, 2}, {8, 64}}, 8, false)
+	if rows[1].ReaderRMR.Max <= rows[0].ReaderRMR.Max {
+		t.Fatalf("centralized reader RMR did not grow: %d -> %d", rows[0].ReaderRMR.Max, rows[1].ReaderRMR.Max)
 	}
 }
 
-func TestRMRSweepDSMExceedsCC(t *testing.T) {
-	builders := Builders()
+func TestRMRDSMExceedsCC(t *testing.T) {
 	pts := [][2]int{{1, 16}}
-	cc, err := RMRSweep(builders["fig1-swwp"], pts, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsm, err := RMRSweepDSM(builders["fig1-swwp"], pts, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dsm[0].Reader.Max <= cc[0].Reader.Max {
-		t.Fatalf("DSM reader RMR (%d) should exceed CC (%d)", dsm[0].Reader.Max, cc[0].Reader.Max)
+	cc := rmrPoints(t, "fig1-swwp", pts, 6, false)
+	dsm := rmrPoints(t, "fig1-swwp", pts, 6, true)
+	if dsm[0].ReaderRMR.Max <= cc[0].ReaderRMR.Max {
+		t.Fatalf("DSM reader RMR (%d) should exceed CC (%d)", dsm[0].ReaderRMR.Max, cc[0].ReaderRMR.Max)
 	}
 }
 
 func TestRMRTableShape(t *testing.T) {
-	builders := Builders()
-	rows, err := RMRSweep(builders["mwsf"], [][2]int{{2, 2}}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rmrPoints(t, "mwsf", [][2]int{{2, 2}}, 4, false)
 	out := RMRTable("title", rows).Render()
 	if !strings.Contains(out, "title") || !strings.Contains(out, "writer RMR max") {
 		t.Fatalf("table malformed:\n%s", out)
+	}
+	if strings.Contains(out, "system") {
+		t.Fatalf("one-system RMR table carries a system column:\n%s", out)
 	}
 }
 
@@ -78,17 +76,34 @@ func TestBuildersCoverAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestThroughputSweepAndTable(t *testing.T) {
-	pts := ThroughputSweep([]int{2}, []float64{0.9}, 300, 1)
-	if len(pts) != len(LockNames()) {
-		t.Fatalf("got %d points, want %d", len(pts), len(LockNames()))
+// runRegistered runs a registered scenario with overrides, failing
+// the test on any error.
+func runRegistered(t *testing.T, name string, opts ScenarioOptions) *ScenarioResult {
+	t.Helper()
+	sc, ok := ScenarioByName(name)
+	if !ok {
+		t.Fatalf("scenario %s not registered", name)
 	}
-	for _, p := range pts {
+	res, err := RunScenario(sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestThroughputScenarioAndTable: the "throughput" scenario sweeps every
+// default lock, and its table has a row for each.
+func TestThroughputScenarioAndTable(t *testing.T) {
+	res := runRegistered(t, "throughput", ScenarioOptions{Seed: 1, Quick: true, Workers: []int{2}, Ops: 300})
+	if want := len(LockNames()) * 2; len(res.Points) != want { // two read fractions under Quick
+		t.Fatalf("got %d points, want %d", len(res.Points), want)
+	}
+	for _, p := range res.Points {
 		if p.OpsPerSec <= 0 {
 			t.Fatalf("lock %s reported no throughput", p.Lock)
 		}
 	}
-	out := ThroughputTable("tp", pts).Render()
+	out := ScenarioTable(res).Render()
 	for _, name := range LockNames() {
 		if !strings.Contains(out, name) {
 			t.Fatalf("table missing %s:\n%s", name, out)
@@ -96,18 +111,20 @@ func TestThroughputSweepAndTable(t *testing.T) {
 	}
 }
 
-func TestPrioritySweepAndTable(t *testing.T) {
-	pts := PrioritySweep(2, 300, 1)
-	if len(pts) != len(LockNames()) {
-		t.Fatalf("got %d points, want %d", len(pts), len(LockNames()))
+// TestPriorityScenarioAndTable: the "priority" scenario measures both
+// classes' latency for every default lock.
+func TestPriorityScenarioAndTable(t *testing.T) {
+	res := runRegistered(t, "priority", ScenarioOptions{Seed: 1, Workers: []int{3}, Ops: 300})
+	if len(res.Points) != len(LockNames()) {
+		t.Fatalf("got %d points, want %d", len(res.Points), len(LockNames()))
 	}
-	for _, p := range pts {
-		if p.WriteP50Ns <= 0 || p.ReadP50Ns <= 0 {
+	for _, p := range res.Points {
+		if p.WriteTotal == nil || p.WriteTotal.P50 <= 0 || p.ReadTotal == nil || p.ReadTotal.P50 <= 0 {
 			t.Fatalf("lock %s missing latencies: %+v", p.Lock, p)
 		}
 	}
-	out := PriorityTable("prio", pts).Render()
-	if !strings.Contains(out, "write p99 ns") {
+	out := ScenarioTable(res).Render()
+	if !strings.Contains(out, "wr wait p99") || !strings.Contains(out, "2r/1w") {
 		t.Fatalf("table malformed:\n%s", out)
 	}
 }
@@ -174,12 +191,18 @@ func TestSelectLockNamesCanonicalOrder(t *testing.T) {
 }
 
 func TestOversubscribedSweep(t *testing.T) {
-	pts := OversubscribedSweepLocks([]string{"MWSF", "sync.RWMutex"},
-		[]int{16}, []float64{0.9}, 20*time.Millisecond, 1)
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
+	sc, _ := ScenarioByName("oversub")
+	sc.ReadFractions = []float64{0.9}
+	sc.Duration = 20 * time.Millisecond
+	res, err := RunScenario(sc, ScenarioOptions{Seed: 1,
+		Locks: []string{"MWSF", "sync.RWMutex"}, Workers: []int{16}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range pts {
+	if len(res.Points) != 2 {
+		t.Fatalf("got %d points, want 2", len(res.Points))
+	}
+	for _, p := range res.Points {
 		if p.OpsPerSec <= 0 {
 			t.Fatalf("lock %s reported no throughput", p.Lock)
 		}
@@ -187,7 +210,7 @@ func TestOversubscribedSweep(t *testing.T) {
 			t.Fatalf("point kept workers=%d, want 16", p.Workers)
 		}
 	}
-	out := ThroughputTable("oversub", pts).Render()
+	out := ScenarioTable(res).Render()
 	if !strings.Contains(out, "MWSF") {
 		t.Fatalf("table missing MWSF row:\n%s", out)
 	}

@@ -27,21 +27,21 @@ type SimShape struct {
 	// Attempts is the per-process passage count at each point.
 	Attempts int `json:"attempts"`
 	// DSM switches the memory model to distributed-shared-memory
-	// accounting (experiment E9), where no constant RMR bound exists.
+	// accounting (experiment E9): variables are homed round-robin
+	// across the processes and there are no caches, so every spin
+	// iteration on a remote variable is charged.  By Danek and
+	// Hadzilacos's lower bound no reader-writer algorithm with
+	// concurrent entering is sublinear there, so the CC-constant
+	// algorithms lose their bound: the CC result is model-specific.
 	DSM bool `json:"dsm,omitempty"`
-
-	// build, when set, overrides Systems with one anonymous system
-	// constructor.  Only the legacy RMRSweep/RMRSweepDSM wrappers set
-	// it; named scenarios go through Builders().
-	build func(w, r int) *core.System
 }
 
 // Scenario is one declaratively described measurement: which locks
 // (or simulator systems), what workload shape, how to pin the
 // scheduler, and which probes to enable.  Every sweep the repo runs —
-// the four historical ones and each new experiment — is a Scenario
-// run through the one RunScenario core, so a new experiment is a
-// registry entry, not a new sweep implementation.
+// rwbench's scenarios and rmrbench's RMR experiments alike — is a
+// Scenario run through the one RunScenario core, so a new experiment
+// is a registry entry, not a new sweep implementation.
 type Scenario struct {
 	// Name is the registry key (rwbench -scenario).
 	Name string `json:"name"`
@@ -316,8 +316,8 @@ func SelectScenarios(request string) ([]Scenario, error) {
 }
 
 func init() {
-	// The four historical sweeps, now registry entries over the one
-	// RunScenario core.
+	// The numbered experiments: throughput and priority are rwbench's
+	// default selection.
 	RegisterScenario(Scenario{
 		Name:          "throughput",
 		Title:         "E7: native throughput by lock, workers and read ratio",
@@ -498,17 +498,16 @@ func init() {
 	})
 	RegisterScenario(Scenario{
 		Name:  "age-frontier",
-		Title: "age-memory frontier: update age vs retained versions across grace aggressiveness",
+		Title: "age-memory frontier: update age vs retained versions",
 		Description: "every write installs a fresh 1 KiB version and retires the old " +
-			"one; the Epoch rows defer reclamation to batch boundaries (bare, " +
-			"every-8, every-64 sweeps the grace aggressiveness) while the bare " +
-			"MWSF and Bravo rows free versions immediately through the GC.  The " +
-			"products chart the frontier the epoch layer trades along: how stale " +
-			"readers' views get (age p50/p99) against how many versions and " +
-			"bytes deferred reclamation holds back at its worst (retained " +
-			"high-water columns) and how often writers pay a grace wait",
-		Locks: []string{"MWSF", "Bravo(MWSF)", "MWSF/epoch",
-			"MWSF/epoch/lazy8", "MWSF/epoch/lazy64"},
+			"one; the Epoch row defers reclamation to the next batch boundary " +
+			"after a grace wait, while the bare MWSF and Bravo rows free " +
+			"versions immediately through the GC.  The products chart the " +
+			"frontier the epoch layer trades along: how stale readers' views " +
+			"get (age p50/p99) against how many versions and bytes deferred " +
+			"reclamation holds back at its worst (retained high-water columns) " +
+			"and how often writers pay a grace wait",
+		Locks:         []string{"MWSF", "Bravo(MWSF)", "MWSF/epoch"},
 		Workers:       []int{8},
 		ReadFractions: []float64{0.95},
 		OpsPerWorker:  20000,
@@ -621,12 +620,12 @@ func quickTrim(sc Scenario) Scenario {
 	return sc
 }
 
-// RunScenario is the single sweep core every scenario — historical
-// and new — runs through.  It resolves the scenario's grids against
-// the options, pins GOMAXPROCS if the scenario asks, and measures
-// every cell: native cells through workload.Run with per-worker
-// latency sampling (and the age probe when enabled), simulator cells
-// through the seeded-scheduler RMR accounting.
+// RunScenario is the single sweep core every scenario runs through.
+// It resolves the scenario's grids against the options, pins
+// GOMAXPROCS if the scenario asks, and measures every cell: native
+// cells through workload.Run with per-worker latency sampling (and
+// the age probe when enabled), simulator cells through the
+// seeded-scheduler RMR accounting.
 func RunScenario(sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -857,37 +856,24 @@ func batchSizeSnapshot(l rwlock.RWLock) *stats.HistSnapshot {
 	return h.Snapshot()
 }
 
-// runSimScenario sweeps simulator systems under RMR accounting.  This
-// is the same core the legacy RMRSweep/RMRSweepDSM wrappers run
-// through.
+// runSimScenario sweeps the named simulator systems under RMR
+// accounting.
 func runSimScenario(sc Scenario, seed int64) ([]ScenarioPoint, error) {
 	sim := sc.Sim
-	type namedBuild struct {
-		name  string
-		build func(w, r int) *core.System
-	}
-	var systems []namedBuild
-	if sim.build != nil {
-		systems = []namedBuild{{name: sc.Name, build: sim.build}}
-	} else {
-		builders := Builders()
-		for _, name := range sim.Systems {
-			b := builders[name]
-			if b == nil {
-				return nil, fmt.Errorf("scenario %s: unknown system %q", sc.Name, name)
-			}
-			systems = append(systems, namedBuild{name: name, build: b})
-		}
-	}
+	builders := Builders()
 	attempts := sim.Attempts
 	if attempts <= 0 {
 		attempts = 8
 	}
 	var points []ScenarioPoint
-	for _, s := range systems {
+	for _, name := range sim.Systems {
+		build := builders[name]
+		if build == nil {
+			return nil, fmt.Errorf("scenario %s: unknown system %q", sc.Name, name)
+		}
 		pts := sim.Points
 		if pts == nil {
-			if s.name == "fig1-swwp" || s.name == "fig2-swrp" {
+			if name == "fig1-swwp" || name == "fig2-swrp" {
 				pts = SingleWriterPoints()
 			} else {
 				pts = MultiWriterPoints()
@@ -897,13 +883,12 @@ func runSimScenario(sc Scenario, seed int64) ([]ScenarioPoint, error) {
 			}
 		}
 		for _, pt := range pts {
-			row, err := runSimPoint(s.build, pt[0], pt[1], attempts, seed, sim.DSM)
+			reader, writer, err := runSimPoint(build, pt[0], pt[1], attempts, seed, sim.DSM)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 			}
-			reader, writer := row.Reader, row.Writer
 			points = append(points, ScenarioPoint{
-				System:    s.name,
+				System:    name,
 				Writers:   pt[0],
 				Readers:   pt[1],
 				ReaderRMR: &reader,
@@ -918,7 +903,7 @@ func runSimScenario(sc Scenario, seed int64) ([]ScenarioPoint, error) {
 // build the system, optionally re-home its variables for DSM
 // accounting, run the seeded random scheduler, and summarize RMRs by
 // role.
-func runSimPoint(build func(w, r int) *core.System, w, r, attempts int, seed int64, dsm bool) (RMRRow, error) {
+func runSimPoint(build func(w, r int) *core.System, w, r, attempts int, seed int64, dsm bool) (reader, writer stats.Summary, err error) {
 	sys := build(w, r)
 	if dsm {
 		sys.Mem.SetModel(ccsim.ModelDSM)
@@ -928,12 +913,12 @@ func runSimPoint(build func(w, r int) *core.System, w, r, attempts int, seed int
 	}
 	run, err := sys.NewRunner(attempts)
 	if err != nil {
-		return RMRRow{}, fmt.Errorf("harness: %s w=%d r=%d: %w", sys.Name, w, r, err)
+		return reader, writer, fmt.Errorf("harness: %s w=%d r=%d: %w", sys.Name, w, r, err)
 	}
 	run.CollectStats = true
 	budget := int64(attempts) * int64(w+r) * 1 << 16
 	if err := run.Run(ccsim.NewRandomSched(seed+int64(w*1000+r)), budget); err != nil {
-		return RMRRow{}, fmt.Errorf("harness: %s w=%d r=%d: %w", sys.Name, w, r, err)
+		return reader, writer, fmt.Errorf("harness: %s w=%d r=%d: %w", sys.Name, w, r, err)
 	}
 	var readerRMR, writerRMR []int64
 	for _, s := range run.Stats {
@@ -943,12 +928,7 @@ func runSimPoint(build func(w, r int) *core.System, w, r, attempts int, seed int
 			writerRMR = append(writerRMR, s.RMR)
 		}
 	}
-	return RMRRow{
-		Writers: w,
-		Readers: r,
-		Reader:  stats.Summarize(readerRMR),
-		Writer:  stats.Summarize(writerRMR),
-	}, nil
+	return stats.Summarize(readerRMR), stats.Summarize(writerRMR), nil
 }
 
 // --- presentation ---

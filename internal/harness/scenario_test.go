@@ -8,8 +8,8 @@ import (
 )
 
 func TestScenarioRegistryHasAllEntries(t *testing.T) {
-	// The four historical sweeps plus the engine-native scenarios
-	// (and the DSM contrast) must all be registered.
+	// The numbered experiments plus the engine-native scenarios (and
+	// the DSM contrast) must all be registered.
 	for _, name := range []string{
 		"throughput", "priority", "oversub", "rmr", "rmr-dsm",
 		"bursty-writers", "starvation", "writer-churn", "combine-batch",
@@ -112,15 +112,6 @@ func TestRunScenarioRejectsDegenerateWorkerGrids(t *testing.T) {
 	if p := res.Points[0]; p.Writers != 1 || p.Readers != 1 {
 		t.Fatalf("clamp lost a class: %dw/%dr", p.Writers, p.Readers)
 	}
-}
-
-func TestLegacySweepAdaptersFailLoudly(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ThroughputSweepLocks with an unknown lock must panic, not return an empty sweep")
-		}
-	}()
-	ThroughputSweepLocks([]string{"NoSuchLock"}, []int{1}, []float64{0.9}, 100, 1)
 }
 
 func TestRunScenarioUnknownLock(t *testing.T) {

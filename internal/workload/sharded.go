@@ -167,7 +167,11 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 
 			for i := 0; ; i++ {
 				if cfg.Duration > 0 {
-					if deadline.Load() {
+					// Every worker completes one operation before it looks
+					// at the deadline: the timer starts before the workers
+					// do, and a worker first scheduled after it fired would
+					// otherwise leave the point with no operations at all.
+					if i > 0 && deadline.Load() {
 						break
 					}
 				} else if i >= cfg.OpsPerWorker {

@@ -35,7 +35,9 @@ type Config struct {
 	// OpsPerWorker is how many operations each worker performs.
 	OpsPerWorker int
 	// Duration, if > 0, overrides OpsPerWorker: every worker issues
-	// operations until the deadline passes.  This is the right mode
+	// operations until the deadline passes, and at least one however
+	// short the deadline (a point never reports zero operations).
+	// This is the right mode
 	// for oversubscribed runs (Workers ≫ GOMAXPROCS), where a fixed
 	// per-worker op count would let the measurement tail off as
 	// workers finish at very different times.
@@ -416,7 +418,11 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 			}
 			for i := 0; ; i++ {
 				if cfg.Duration > 0 {
-					if deadline.Load() {
+					// Every worker completes one operation before it looks
+					// at the deadline: the timer starts before the workers
+					// do, and a worker first scheduled after it fired would
+					// otherwise leave the point with no operations at all.
+					if i > 0 && deadline.Load() {
 						break
 					}
 				} else if i >= cfg.OpsPerWorker {

@@ -131,6 +131,39 @@ func TestDurationOverridesOps(t *testing.T) {
 	}
 }
 
+// TestDurationRunsOneOpPerWorker: a deadline shorter than the time it
+// takes to start the workers must still leave every worker one
+// completed operation, so a duration-mode point never reports zero
+// ops/s.  Both runners share the deadline loop.
+func TestDurationRunsOneOpPerWorker(t *testing.T) {
+	const workers = 8
+	for seed := int64(1); seed <= 20; seed++ {
+		r := Run(rwlock.NewMWSF(), Config{
+			Workers:      workers,
+			ReadFraction: 0.9,
+			Duration:     time.Microsecond,
+			Seed:         seed,
+		})
+		if got := r.ReadOps + r.WriteOps; got < workers {
+			t.Fatalf("seed %d: Run did %d ops with %d workers", seed, got, workers)
+		}
+		if r.Throughput() <= 0 {
+			t.Fatalf("seed %d: Run throughput %v", seed, r.Throughput())
+		}
+		s := RunSharded(ShardedConfig{
+			Workers:      workers,
+			ReadFraction: 0.9,
+			Duration:     time.Microsecond,
+			Stripes:      4,
+			Keys:         64,
+			Seed:         seed,
+		})
+		if got := s.ReadOps + s.WriteOps; got < workers {
+			t.Fatalf("seed %d: RunSharded did %d ops with %d workers", seed, got, workers)
+		}
+	}
+}
+
 func TestWaitHoldSplit(t *testing.T) {
 	res := Run(rwlock.NewMWSF(), Config{
 		Workers:      2,

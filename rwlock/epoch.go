@@ -47,9 +47,11 @@ import (
 // flat-combining arbitration (WithCombiningWriters) the hook fires
 // once per drained batch, so ONE grace wait retires every version the
 // whole batch produced; under the queue/array arbitrations every
-// passage is a batch of one.  WithEpochReclaimEvery(k) stretches the
-// cadence further — sweep only every k-th boundary — trading retained
-// memory for fewer sweeps.
+// passage is a batch of one.  Every boundary sweeps: a version is
+// dropped at the first boundary after the grace period that outlives
+// it.  A lazier cadence would only delay when references are dropped
+// (versions are published at once), so it would cost retained memory
+// and buy neither freshness nor throughput.
 //
 // # What is preserved, and what is traded
 //
@@ -124,17 +126,13 @@ type Epoch struct {
 	sid    int64
 
 	innerCombines bool
-	// reclaimEvery is the sweep cadence in batch boundaries (1 =
-	// every boundary); see WithEpochReclaimEvery.
-	reclaimEvery int64
 
 	// Writer-side bookkeeping, all guarded by the arbitration mutex
 	// (writerEnter, Retire and the boundary hook run while it is
 	// held); read at quiescence via EpochStats.
-	lastDrain  int64 // odd epoch whose grace wait last completed
-	boundaries int64
-	retired    []retiredVersion
-	stats      EpochStats
+	lastDrain int64 // odd epoch whose grace wait last completed
+	retired   []retiredVersion
+	stats     EpochStats
 	// lstats, when non-nil, is the live (atomic, scrape-anytime) mirror
 	// of the quiescent EpochStats above, plus the fast-path read count
 	// and the watchdog's grace register.  See WithStats.
@@ -218,21 +216,6 @@ type VersionRetirer interface {
 	Retire(old any, bytes int)
 }
 
-// WithEpochReclaimEvery sets an epoch lock's reclaim cadence: retired
-// versions are swept every k-th batch boundary instead of every
-// boundary.  k = 1 (the default) reclaims as eagerly as the grace
-// rule allows — a version is dropped at the first boundary after the
-// grace period that outlives it; larger k batches sweep work and
-// RETAINS up to k boundaries' worth of versions, the lazy end of the
-// age-memory frontier the age-frontier scenario sweeps.  The option
-// is ignored by non-epoch constructors.  k must be at least 1.
-func WithEpochReclaimEvery(k int) Option {
-	if k < 1 {
-		panic("rwlock: WithEpochReclaimEvery needs k >= 1")
-	}
-	return func(o *options) { o.epochReclaimEvery = k }
-}
-
 // NewEpoch wraps inner with the epoch-stamped reader fast path and
 // grace-period reclamation.  If inner is nil, a starvation-free MWSF
 // lock is used.  inner must be one of the package's multi-writer
@@ -241,8 +224,8 @@ func WithEpochReclaimEvery(k int) Option {
 // where the epoch reopens and retired versions are swept; any other
 // lock (including a *Bravo or another *Epoch) panics.  Options
 // configure the wrapper's own waiting (the grace scan and the stamp
-// slots) and the reclaim cadence; the NewEpochMW* helpers apply one
-// option list to both layers.  WithSharedReaderTable(tbl) selects the
+// slots); the NewEpochMW* helpers apply one option list to both
+// layers.  WithSharedReaderTable(tbl) selects the
 // shared-arena deployment: fast readers claim tagged slots in tbl
 // (one CAS — the zero-RMW passage is the private deployment's) and
 // the per-lock reader state shrinks to one owner id; see the option
@@ -251,10 +234,6 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 	o := applyOptions(opts)
 	if inner == nil {
 		inner = NewMWSF(opts...)
-	}
-	reclaimEvery := int64(1)
-	if o.epochReclaimEvery > 1 {
-		reclaimEvery = int64(o.epochReclaimEvery)
 	}
 	// Copied out of o so the pool closure below captures two words,
 	// not the whole options struct.
@@ -270,7 +249,7 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 	default:
 		panic("rwlock: NewEpoch requires a multi-writer inner lock (*MWSF, *MWRP or *MWWP)")
 	}
-	e := &Epoch{inner: inner, m: m, reclaimEvery: reclaimEvery, lstats: st}
+	e := &Epoch{inner: inner, m: m, lstats: st}
 	if shared != nil {
 		// Shared-arena deployment: no per-P cache, no pool, no private
 		// slot registry — the per-lock reader state is one owner id,
@@ -542,8 +521,8 @@ func (e *Epoch) writerEnter() {
 // onBoundary is the batch-boundary hook (writerMutex.onBatchRetire):
 // it runs inside the arbitration layer's release — combiner batch
 // drains and token-path releases alike — while the mutex is still
-// held.  It reopens the fast path and, on the configured cadence,
-// sweeps retired versions whose grace period has passed.
+// held.  It reopens the fast path and sweeps retired versions whose
+// grace period has passed.
 func (e *Epoch) onBoundary() {
 	if e.global.v.Load()&1 != 0 {
 		e.global.v.Add(1) // reopen: back to even
@@ -552,11 +531,8 @@ func (e *Epoch) onBoundary() {
 			st.EpochAdvances.Add(1)
 		}
 	}
-	e.boundaries++
 	e.stats.Boundaries++
-	if e.reclaimEvery <= 1 || e.boundaries%e.reclaimEvery == 0 {
-		e.sweep()
-	}
+	e.sweep()
 }
 
 // sweep reclaims every retired version whose retire epoch precedes

@@ -207,28 +207,6 @@ func TestEpochRetireReclaim(t *testing.T) {
 	}
 }
 
-// TestEpochReclaimEveryDefersSweep: WithEpochReclaimEvery(k) must hold
-// retired versions across boundaries that are not multiples of k —
-// the lazy end of the age-memory frontier — and release the backlog
-// when the cadence lands.
-func TestEpochReclaimEveryDefersSweep(t *testing.T) {
-	e := NewEpochMWSF(WithEpochReclaimEvery(4))
-	for i := 0; i < 3; i++ {
-		wt := e.Lock()
-		e.Retire(make([]byte, 10), 10)
-		e.Unlock(wt)
-	}
-	st, _ := e.EpochStats()
-	if st.Boundaries != 3 || st.Reclaimed != 0 || st.RetainedVersions != 3 {
-		t.Fatalf("before the cadence boundary: %+v", st)
-	}
-	e.Unlock(e.Lock()) // boundary 4: the sweep runs
-	st, _ = e.EpochStats()
-	if st.Reclaimed != 3 || st.RetainedVersions != 0 {
-		t.Fatalf("at the cadence boundary: %+v", st)
-	}
-}
-
 // TestEpochCombiningOneGracePerBatch: under flat-combining
 // arbitration the epoch advance and grace wait run once per BATCH
 // (the batch's first section pays; the boundary hook reopens), so at

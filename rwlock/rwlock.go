@@ -58,8 +58,8 @@
 //     freed only after a grace period in which no reader can still
 //     observe them, swept at the writer arbitration layer's batch
 //     boundary — the update-age vs retained-memory trade measured by
-//     the age-frontier scenario.  WithEpochReclaimEvery sets the
-//     sweep cadence.
+//     the age-frontier scenario.  Every boundary sweeps, so a
+//     retired version is dropped as soon as the grace rule allows.
 //
 // Pick Bravo when writers are frequent enough that grace waits would
 // dominate (its revocation throttle adapts the bias to the write

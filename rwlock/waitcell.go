@@ -25,10 +25,6 @@ type options struct {
 	// combining wraps the selected writer arbitration in the
 	// flat-combining layer.  See WithCombiningWriters in combiner.go.
 	combining bool
-	// epochReclaimEvery is the epoch wrapper's reclaim cadence: sweep
-	// retired versions every k-th batch boundary (0/1 = every
-	// boundary).  See WithEpochReclaimEvery in epoch.go.
-	epochReclaimEvery int
 	// sharedTable, when non-nil, puts the constructed lock's reader
 	// fast path on a shared visible-readers arena instead of private
 	// per-lock state.  See WithSharedReaderTable in readerslots.go
