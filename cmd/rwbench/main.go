@@ -221,7 +221,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	scs, err := harness.SelectScenarios(*scenarioFlag)
+	scs, err := harness.SelectScenarios(*scenarioFlag, opts)
 	if err != nil {
 		return err
 	}

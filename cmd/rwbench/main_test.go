@@ -81,6 +81,21 @@ func TestRunBadWorkers(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadGridBeforeRunning: a worker grid that a later
+// scenario of the selection cannot host (the priority storm needs a
+// writer and a reader) fails the run before any scenario has run, so
+// nothing is printed and no finished measurement is thrown away.
+func TestRunRejectsBadGridBeforeRunning(t *testing.T) {
+	var b strings.Builder
+	err := run([]string{"-quick", "-ops", "50", "-workers", "1"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "scenario priority: 1 workers cannot host") {
+		t.Fatalf("err = %v, want the priority storm's rejection", err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("printed %d bytes before failing:\n%s", b.Len(), b.String())
+	}
+}
+
 func TestRunLocksSubset(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",

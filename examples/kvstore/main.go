@@ -55,8 +55,8 @@ type Store struct {
 }
 
 // NewStore builds a store striped over n locks built by factory (nil
-// means rwmap's default: 16-byte SlimBravo locks on the shared reader
-// arena).
+// means rwmap's default: 16-byte SlimBravo locks on the rwlock
+// package's reader arena).
 func NewStore(n int, factory func() rwlock.RWLock) *Store {
 	opts := []rwmap.Option{rwmap.WithStripes(n)}
 	if factory != nil {
@@ -111,7 +111,7 @@ func main() {
 	// Measurement 1: Zipfian serving traffic over striped grids.  The
 	// registry's zipf-grid scenario sweeps up to 10^6 stripes; the
 	// example trims the axes to stay demo-sized and narrows the lock
-	// set to one private/shared/slim triple plus the baseline.
+	// set to one private/slim pair plus the baseline.
 	zg, ok := harness.ScenarioByName("zipf-grid")
 	if !ok {
 		panic("zipf-grid scenario not registered")
@@ -122,7 +122,7 @@ func main() {
 	fmt.Println()
 	res, err := harness.RunScenario(zg, harness.ScenarioOptions{
 		Seed:    1,
-		Locks:   []string{"Bravo(MWSF)", "Bravo(MWSF)/shared", "SlimBravo", "sync.RWMutex"},
+		Locks:   []string{"Bravo(MWSF)", "SlimBravo", "sync.RWMutex"},
 		Stripes: []int{1 << 4, 1 << 10},
 		ZipfS:   []float64{1.07},
 	})

@@ -101,52 +101,46 @@ const boundedWriters = 64
 // epoch-stamped reader fast path (rwlock.NewEpoch* — zero shared-word
 // RMWs per read passage, writers pay a grace wait).
 //
-// The serving-tier entries put the reader fast paths in their grid
-// builds: "Bravo(MWSF)/shared" and "MWSF/epoch/shared" are the full
-// wrappers on the package-default shared reader arena (the private
-// per-lock table/registry is shed; see rwlock.WithSharedReaderTable),
-// and "SlimBravo"/"SlimEpoch" are the 16-byte packed variants the
-// 10^5–10^6-stripe serving maps are built from.
+// The serving-tier entries "SlimBravo"/"SlimEpoch" are the 16-byte
+// packed variants of the two reader fast paths, which publish in the
+// rwlock package's one reader arena; the 10^5–10^6-stripe serving
+// maps are built from them.
 func NativeLocks() map[string]func() rwlock.RWLock { return NativeLocksWith() }
 
 // NativeLocksWith is NativeLocks with extra options appended to every
 // constructor — the seam the -metrics runs use to hand each measured
-// cell's locks one rwlock.WithStats counter block.  Three registry
-// rows sit outside the stats seam by design: the Slim locks silently
-// ignore a WithStats extra (a per-instance stats pointer would double
-// the 16-byte footprint — observe a Slim grid through
-// rwmap.Map.Heatmap instead), and the classical baselines (they model
-// the literature's algorithms, not this package's layers) and
-// sync.RWMutex take no constructor options at all.  Their
-// instrumented cells report an all-zero counter block.
+// cell's locks one rwlock.WithStats counter block.  Some registry
+// rows sit outside the stats seam by design: the Slim locks (a
+// per-instance stats pointer would double the 16-byte footprint —
+// observe a Slim grid through rwmap.Map.Heatmap instead), the
+// classical baselines (they model the literature's algorithms, not
+// this package's layers) and sync.RWMutex take no constructor options
+// at all.  Their instrumented cells report an all-zero counter block.
 func NativeLocksWith(extra ...rwlock.Option) map[string]func() rwlock.RWLock {
 	bound := rwlock.WithBoundedWriters(boundedWriters)
 	comb := rwlock.WithCombiningWriters()
-	shared := rwlock.WithSharedReaderTable(rwlock.DefaultReaderTable())
 	// opt appends the extras to a constructor's own options; the base
 	// slice is a fresh vararg allocation per call, so the append never
 	// aliases another constructor's options.
 	opt := func(base ...rwlock.Option) []rwlock.Option { return append(base, extra...) }
 	return map[string]func() rwlock.RWLock{
-		"MWSF":               func() rwlock.RWLock { return rwlock.NewMWSF(opt()...) },
-		"MWRP":               func() rwlock.RWLock { return rwlock.NewMWRP(opt()...) },
-		"MWWP":               func() rwlock.RWLock { return rwlock.NewMWWP(opt()...) },
-		"MWSF/bounded":       func() rwlock.RWLock { return rwlock.NewMWSF(opt(bound)...) },
-		"MWSF/combine":       func() rwlock.RWLock { return rwlock.NewMWSF(opt(comb)...) },
-		"MWSF/epoch":         func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt()...) },
-		"MWRP/epoch":         func() rwlock.RWLock { return rwlock.NewEpochMWRP(opt()...) },
-		"MWWP/epoch":         func() rwlock.RWLock { return rwlock.NewEpochMWWP(opt()...) },
-		"Bravo(MWSF)":        func() rwlock.RWLock { return rwlock.NewBravoMWSF(opt()...) },
-		"Bravo(MWRP)":        func() rwlock.RWLock { return rwlock.NewBravoMWRP(opt()...) },
-		"Bravo(MWWP)":        func() rwlock.RWLock { return rwlock.NewBravoMWWP(opt()...) },
-		"Bravo(MWSF)/shared": func() rwlock.RWLock { return rwlock.NewBravoMWSF(opt(shared)...) },
-		"MWSF/epoch/shared":  func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt(shared)...) },
-		"SlimBravo":          func() rwlock.RWLock { return rwlock.NewSlimBravo(opt()...) },
-		"SlimEpoch":          func() rwlock.RWLock { return rwlock.NewSlimEpoch(opt()...) },
-		"CentralizedRW":      func() rwlock.RWLock { return rwlock.NewCentralizedRW() },
-		"PhaseFairRW":        func() rwlock.RWLock { return rwlock.NewPhaseFairRW() },
-		"TaskFairRW":         func() rwlock.RWLock { return rwlock.NewTaskFairRW() },
-		"sync.RWMutex":       func() rwlock.RWLock { return rwlock.NewRWMutexLock() },
+		"MWSF":          func() rwlock.RWLock { return rwlock.NewMWSF(opt()...) },
+		"MWRP":          func() rwlock.RWLock { return rwlock.NewMWRP(opt()...) },
+		"MWWP":          func() rwlock.RWLock { return rwlock.NewMWWP(opt()...) },
+		"MWSF/bounded":  func() rwlock.RWLock { return rwlock.NewMWSF(opt(bound)...) },
+		"MWSF/combine":  func() rwlock.RWLock { return rwlock.NewMWSF(opt(comb)...) },
+		"MWSF/epoch":    func() rwlock.RWLock { return rwlock.NewEpochMWSF(opt()...) },
+		"MWRP/epoch":    func() rwlock.RWLock { return rwlock.NewEpochMWRP(opt()...) },
+		"MWWP/epoch":    func() rwlock.RWLock { return rwlock.NewEpochMWWP(opt()...) },
+		"Bravo(MWSF)":   func() rwlock.RWLock { return rwlock.NewBravoMWSF(opt()...) },
+		"Bravo(MWRP)":   func() rwlock.RWLock { return rwlock.NewBravoMWRP(opt()...) },
+		"Bravo(MWWP)":   func() rwlock.RWLock { return rwlock.NewBravoMWWP(opt()...) },
+		"SlimBravo":     func() rwlock.RWLock { return rwlock.NewSlimBravo() },
+		"SlimEpoch":     func() rwlock.RWLock { return rwlock.NewSlimEpoch() },
+		"CentralizedRW": func() rwlock.RWLock { return rwlock.NewCentralizedRW() },
+		"PhaseFairRW":   func() rwlock.RWLock { return rwlock.NewPhaseFairRW() },
+		"TaskFairRW":    func() rwlock.RWLock { return rwlock.NewTaskFairRW() },
+		"sync.RWMutex":  func() rwlock.RWLock { return rwlock.NewRWMutexLock() },
 	}
 }
 
@@ -170,8 +164,7 @@ func LockNames() []string {
 func AllLockNames() []string {
 	return []string{
 		"MWSF", "MWSF/bounded", "MWSF/combine",
-		"MWSF/epoch", "MWSF/epoch/shared",
-		"Bravo(MWSF)", "Bravo(MWSF)/shared",
+		"MWSF/epoch", "Bravo(MWSF)",
 		"SlimBravo", "SlimEpoch",
 		"MWRP", "MWRP/epoch", "Bravo(MWRP)",
 		"MWWP", "MWWP/epoch", "Bravo(MWWP)",

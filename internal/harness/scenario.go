@@ -278,17 +278,20 @@ func ScenarioByName(name string) (Scenario, bool) {
 
 // SelectScenarios resolves a comma-separated request ("all", names,
 // or empty for the default pair) to scenarios in registration order.
-func SelectScenarios(request string) ([]Scenario, error) {
+// It also checks each selected scenario's grid as RunScenario will
+// resolve it under opts, so a selection that one scenario cannot run
+// fails before any scenario has run.
+func SelectScenarios(request string, opts ScenarioOptions) ([]Scenario, error) {
 	request = strings.TrimSpace(request)
 	if request == "" {
 		request = "throughput,priority"
 	}
+	var out []Scenario
 	if request == "all" {
-		out := make([]Scenario, 0, len(scenarioOrder))
 		for _, name := range scenarioOrder {
 			out = append(out, scenarioRegistry[name])
 		}
-		return out, nil
+		return out, checkSelection(out, opts)
 	}
 	want := map[string]bool{}
 	for _, part := range strings.Split(request, ",") {
@@ -306,13 +309,23 @@ func SelectScenarios(request string) ([]Scenario, error) {
 		return nil, fmt.Errorf("scenario request %q selects nothing (have %s)",
 			request, strings.Join(SortedScenarioNames(), ", "))
 	}
-	var out []Scenario
 	for _, name := range scenarioOrder {
 		if want[name] {
 			out = append(out, scenarioRegistry[name])
 		}
 	}
-	return out, nil
+	return out, checkSelection(out, opts)
+}
+
+// checkSelection resolves every scenario of a selection and reports
+// the first one that cannot run.
+func checkSelection(scs []Scenario, opts ScenarioOptions) error {
+	for _, sc := range scs {
+		if _, err := resolveScenario(sc, opts); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func init() {
@@ -523,8 +536,8 @@ func init() {
 		Description: "a striped map (rwmap) whose every stripe is one lock " +
 			"instance, swept across grid sizes 1 / 2^10 / 2^20 and key skews " +
 			"s=1.07 (classic serving traffic) and s=1.5 (hot-key pathology), " +
-			"with each reader-fast-path protocol in its three footprint " +
-			"builds — private table, shared arena, 16-byte slim.  The " +
+			"with each reader-fast-path protocol in its two footprint " +
+			"builds — private reader state and 16-byte slim.  The " +
 			"products are cross-shard throughput, per-class wait tails, the " +
 			"hot key's read rate and read-view age, and the measured " +
 			"bytes/lock-instance each build pays at that grid size — the " +
@@ -572,9 +585,9 @@ func defaultWorkerGrid() []int {
 	return workers
 }
 
-// quickTrim shrinks a resolved scenario to smoke-test size: first
-// worker count, at most two read fractions, a small op budget or
-// deadline, fewer sim points and attempts.
+// quickTrim shrinks a scenario whose grids are filled in to
+// smoke-test size: first worker count, at most two read fractions, a
+// small op budget or deadline, fewer sim points and attempts.
 func quickTrim(sc Scenario) Scenario {
 	if len(sc.Workers) > 1 {
 		sc.Workers = sc.Workers[:1]
@@ -630,8 +643,43 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	// Resolve overrides first, then trim, so -quick applies to
-	// whatever grid will actually run.
+	sc, err := resolveScenario(sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	if sc.GOMAXPROCS > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sc.GOMAXPROCS))
+	}
+	res := &ScenarioResult{
+		Seed:       opts.Seed,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+	switch {
+	case sc.Sim != nil:
+		res.Points, err = runSimScenario(sc, opts.Seed)
+	case len(sc.Stripes) > 0:
+		res.Metrics = opts.Metrics
+		res.Points, err = runShardedScenario(sc, opts.Seed, opts.Metrics)
+	default:
+		res.Metrics = opts.Metrics
+		res.Points, err = runNativeScenario(sc, opts.Seed, opts.Metrics)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sc.DurationMs = sc.Duration.Milliseconds()
+	sc.WriteDeadlineUs = sc.WriteDeadline.Microseconds()
+	res.Scenario = sc
+	return res, nil
+}
+
+// resolveScenario returns the scenario RunScenario runs for sc under
+// opts, or the reason no cell of it can run: the overrides applied,
+// the defaulted lock and worker grids filled in (so the result
+// records what ran), -quick's trim applied to that whole grid, and
+// every lock, system, worker count and stripe count checked.
+// SelectScenarios runs the same check over a whole selection.
+func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
 	if len(opts.Locks) > 0 {
 		sc.Locks = opts.Locks
 	}
@@ -653,34 +701,59 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 			sc.ZipfS = opts.ZipfS
 		}
 	}
+	switch {
+	case sc.Sim != nil:
+	case len(sc.Stripes) > 0:
+		if len(sc.Locks) == 0 {
+			sc.Locks = ShardedLockNames()
+		}
+		if len(sc.Workers) == 0 {
+			sc.Workers = []int{8}
+		}
+	default:
+		if len(sc.Locks) == 0 {
+			sc.Locks = LockNames()
+		}
+		if len(sc.Workers) == 0 {
+			sc.Workers = defaultWorkerGrid()
+		}
+	}
 	if opts.Quick {
 		sc = quickTrim(sc)
 	}
-	if sc.GOMAXPROCS > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sc.GOMAXPROCS))
+	if sc.Sim != nil {
+		builders := Builders()
+		for _, name := range sc.Sim.Systems {
+			if builders[name] == nil {
+				return sc, fmt.Errorf("scenario %s: unknown system %q", sc.Name, name)
+			}
+		}
+		return sc, nil
 	}
-	res := &ScenarioResult{
-		Seed:       opts.Seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	builders := NativeLocks()
+	for _, name := range sc.Locks {
+		if builders[name] == nil {
+			return sc, fmt.Errorf("scenario %s: unknown lock %q (have %v)",
+				sc.Name, name, SortedLockNames())
+		}
 	}
-	var err error
-	switch {
-	case sc.Sim != nil:
-		res.Points, err = runSimScenario(sc, opts.Seed)
-	case len(sc.Stripes) > 0:
-		res.Metrics = opts.Metrics
-		res.Points, err = runShardedScenario(&sc, opts.Seed, opts.Metrics)
-	default:
-		res.Metrics = opts.Metrics
-		res.Points, err = runNativeScenario(&sc, opts.Seed, opts.Metrics)
+	for _, w := range sc.Workers {
+		if w < 1 {
+			return sc, fmt.Errorf("scenario %s: worker count %d (need >= 1)", sc.Name, w)
+		}
+		if sc.DedicatedWriters > 0 && w < 2 {
+			// A storm shape needs both classes present; silently
+			// running it all-writer would mislabel the measurement.
+			return sc, fmt.Errorf("scenario %s: %d workers cannot host %d dedicated writer(s) plus a reader",
+				sc.Name, w, sc.DedicatedWriters)
+		}
 	}
-	if err != nil {
-		return nil, err
+	for _, st := range sc.Stripes {
+		if st < 1 {
+			return sc, fmt.Errorf("scenario %s: stripe count %d (need >= 1)", sc.Name, st)
+		}
 	}
-	sc.DurationMs = sc.Duration.Milliseconds()
-	sc.WriteDeadlineUs = sc.WriteDeadline.Microseconds()
-	res.Scenario = sc
-	return res, nil
+	return sc, nil
 }
 
 // checkCellCounters cross-checks an instrumented cell's quiescent
@@ -715,33 +788,10 @@ func checkCellCounters(s *rwlock.LockStatsSnapshot, scenario, lock string, readO
 	return nil
 }
 
-// runNativeScenario sweeps real locks with real goroutines.  It may
-// fill in sc's defaulted grids (so the result records what ran).
-func runNativeScenario(sc *Scenario, seed int64, metrics bool) ([]ScenarioPoint, error) {
-	if len(sc.Locks) == 0 {
-		sc.Locks = LockNames()
-	}
+// runNativeScenario sweeps real locks with real goroutines over a
+// scenario resolveScenario has resolved.
+func runNativeScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint, error) {
 	builders := NativeLocks()
-	for _, name := range sc.Locks {
-		if builders[name] == nil {
-			return nil, fmt.Errorf("scenario %s: unknown lock %q (have %v)",
-				sc.Name, name, SortedLockNames())
-		}
-	}
-	if len(sc.Workers) == 0 {
-		sc.Workers = defaultWorkerGrid()
-	}
-	for _, w := range sc.Workers {
-		if w < 1 {
-			return nil, fmt.Errorf("scenario %s: worker count %d (need >= 1)", sc.Name, w)
-		}
-		if sc.DedicatedWriters > 0 && w < 2 {
-			// A storm shape needs both classes present; silently
-			// running it all-writer would mislabel the measurement.
-			return nil, fmt.Errorf("scenario %s: %d workers cannot host %d dedicated writer(s) plus a reader",
-				sc.Name, w, sc.DedicatedWriters)
-		}
-	}
 	fractions := sc.ReadFractions
 	if len(fractions) == 0 {
 		// Dedicated-writer shapes: the mix is structural, one pass.
@@ -868,9 +918,6 @@ func runSimScenario(sc Scenario, seed int64) ([]ScenarioPoint, error) {
 	var points []ScenarioPoint
 	for _, name := range sim.Systems {
 		build := builders[name]
-		if build == nil {
-			return nil, fmt.Errorf("scenario %s: unknown system %q", sc.Name, name)
-		}
 		pts := sim.Points
 		if pts == nil {
 			if name == "fig1-swwp" || name == "fig2-swrp" {

@@ -22,21 +22,21 @@ func TestScenarioRegistryHasAllEntries(t *testing.T) {
 }
 
 func TestSelectScenarios(t *testing.T) {
-	all, err := SelectScenarios("all")
+	all, err := SelectScenarios("all", ScenarioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != len(ScenarioNames()) {
 		t.Fatalf("all selected %d of %d", len(all), len(ScenarioNames()))
 	}
-	def, err := SelectScenarios("")
+	def, err := SelectScenarios("", ScenarioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(def) != 2 || def[0].Name != "throughput" || def[1].Name != "priority" {
 		t.Fatalf("default selection = %v", def)
 	}
-	two, err := SelectScenarios("latency-grid, bursty-writers")
+	two, err := SelectScenarios("latency-grid, bursty-writers", ScenarioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSelectScenarios(t *testing.T) {
 	if len(two) != 2 || two[0].Name != "bursty-writers" || two[1].Name != "latency-grid" {
 		t.Fatalf("subset selection = %v", two)
 	}
-	if _, err := SelectScenarios("no-such"); err == nil ||
+	if _, err := SelectScenarios("no-such", ScenarioOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "no-such") {
 		t.Fatalf("unknown scenario not rejected: %v", err)
 	}
@@ -352,6 +352,25 @@ func TestQuickTrimShrinksEveryAxis(t *testing.T) {
 	// The original is untouched (Sim is copied, not aliased).
 	if sc.Sim.Attempts != 16 || len(sc.Sim.Points) != 3 {
 		t.Fatalf("quickTrim mutated the input scenario: %+v", sc.Sim)
+	}
+}
+
+// TestQuickTrimsDefaultWorkerGrid: a scenario with no worker grid of
+// its own (throughput) gets the default doubling grid, and -quick must
+// trim that grid too.
+func TestQuickTrimsDefaultWorkerGrid(t *testing.T) {
+	sc, _ := ScenarioByName("throughput")
+	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Quick: true, Ops: 50, Locks: []string{"MWSF"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := map[int]bool{}
+	for _, p := range res.Points {
+		ran[p.Workers] = true
+	}
+	if len(res.Scenario.Workers) != 1 || len(ran) != 1 {
+		t.Fatalf("-quick throughput ran worker grid %v (%d worker counts in its points), want one",
+			res.Scenario.Workers, len(ran))
 	}
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -11,14 +10,15 @@ import (
 )
 
 // ShardedLockNames is the default lock set of the sharded (serving
-// tier) scenarios: each reader-fast-path protocol in its three grid
-// builds — private table, shared arena, 16-byte slim — plus the
-// runtime baseline.  The triples are what the bytes/lock column is
-// about: same protocol, three footprints.
+// tier) scenarios: each reader-fast-path protocol in its two grid
+// builds — the full wrapper with private reader state, and the
+// 16-byte slim lock on the package arena — plus the runtime baseline.
+// The pairs are what the bytes/lock column is about: same protocol,
+// two footprints.
 func ShardedLockNames() []string {
 	return []string{
-		"Bravo(MWSF)", "Bravo(MWSF)/shared", "SlimBravo",
-		"MWSF/epoch", "MWSF/epoch/shared", "SlimEpoch",
+		"Bravo(MWSF)", "SlimBravo",
+		"MWSF/epoch", "SlimEpoch",
 		"sync.RWMutex",
 	}
 }
@@ -80,31 +80,10 @@ func measureBytesPerLock(build func() rwlock.RWLock, n int) float64 {
 // cell is a fresh rwmap grid under workload.RunSharded, with the
 // lock's bytes/instance measured once per (lock, stripes) pair — a
 // standalone grid, built and released before the workload's own, so
-// the number is the lock's marginal cost, not the map's.
-func runShardedScenario(sc *Scenario, seed int64, metrics bool) ([]ScenarioPoint, error) {
-	if len(sc.Locks) == 0 {
-		sc.Locks = ShardedLockNames()
-	}
+// the number is the lock's marginal cost, not the map's.  sc is
+// resolved (resolveScenario).
+func runShardedScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint, error) {
 	builders := NativeLocks()
-	for _, name := range sc.Locks {
-		if builders[name] == nil {
-			return nil, fmt.Errorf("scenario %s: unknown lock %q (have %v)",
-				sc.Name, name, SortedLockNames())
-		}
-	}
-	if len(sc.Workers) == 0 {
-		sc.Workers = []int{8}
-	}
-	for _, w := range sc.Workers {
-		if w < 1 {
-			return nil, fmt.Errorf("scenario %s: worker count %d (need >= 1)", sc.Name, w)
-		}
-	}
-	for _, st := range sc.Stripes {
-		if st < 1 {
-			return nil, fmt.Errorf("scenario %s: stripe count %d (need >= 1)", sc.Name, st)
-		}
-	}
 	fractions := sc.ReadFractions
 	if len(fractions) == 0 {
 		fractions = []float64{0.9}

@@ -255,8 +255,6 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 			res.AgeNs.Merge(&h.age)
 		}
 	}
-	res.ReadLatNs = res.ReadTotalNs.Summary()
-	res.WriteLatNs = res.WriteTotalNs.Summary()
 	return res
 }
 

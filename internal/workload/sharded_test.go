@@ -49,11 +49,10 @@ func TestRunShardedCounts(t *testing.T) {
 // batch through the closure path.  Under -race this is also the
 // cross-stripe exclusion check.
 func TestRunShardedFactories(t *testing.T) {
-	tbl := rwlock.NewReaderTable(64)
 	for name, f := range map[string]func() rwlock.RWLock{
-		"SlimBravo":    func() rwlock.RWLock { return rwlock.NewSlimBravo(rwlock.WithSharedReaderTable(tbl)) },
-		"SlimEpoch":    func() rwlock.RWLock { return rwlock.NewSlimEpoch(rwlock.WithSharedReaderTable(tbl)) },
-		"Bravo/shared": func() rwlock.RWLock { return rwlock.NewBravoMWSF(rwlock.WithSharedReaderTable(tbl)) },
+		"SlimBravo":    func() rwlock.RWLock { return rwlock.NewSlimBravo() },
+		"SlimEpoch":    func() rwlock.RWLock { return rwlock.NewSlimEpoch() },
+		"Bravo(MWSF)":  func() rwlock.RWLock { return rwlock.NewBravoMWSF() },
 		"sync.RWMutex": func() rwlock.RWLock { return rwlock.NewRWMutexLock() },
 	} {
 		t.Run(name, func(t *testing.T) {

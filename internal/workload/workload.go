@@ -129,9 +129,8 @@ type Config struct {
 // timings, split at the acquire point: Wait is request→acquire (time
 // spent in the lock's entry protocol), Hold is acquire→release (the
 // critical section including the release protocol), Total is
-// request→release (Wait + Hold, the whole passage — what the legacy
-// ReadLatNs/WriteLatNs summaries report).  Writes go through the
-// lock's closure path (rwlock.Write), so on a combining lock the
+// request→release (Wait + Hold, the whole passage).  Writes go through
+// the lock's closure path (rwlock.Write), so on a combining lock the
 // acquire stamp is taken when the combiner starts the section: Wait
 // then includes the time queued in the publication list, and Hold
 // ends when the completion signal reaches the submitter.  AgeNs is the
@@ -146,10 +145,6 @@ type Result struct {
 	// A shed op is an op that ran and failed: it is counted in
 	// neither WriteOps nor the latency histograms.
 	ShedOps int64
-	// ReadLatNs and WriteLatNs summarize the Total histograms
-	// (bucket-resolution percentiles, exact min/max/mean).
-	ReadLatNs  stats.Summary
-	WriteLatNs stats.Summary
 
 	ReadWaitNs   *stats.Histogram
 	ReadHoldNs   *stats.Histogram
@@ -479,7 +474,5 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 			res.AgeNs.Merge(&h.age)
 		}
 	}
-	res.ReadLatNs = res.ReadTotalNs.Summary()
-	res.WriteLatNs = res.WriteTotalNs.Summary()
 	return res
 }

@@ -97,11 +97,11 @@ func TestLatencySampling(t *testing.T) {
 		SampleEvery:  1,
 		Seed:         9,
 	})
-	if res.ReadLatNs.N == 0 || res.WriteLatNs.N == 0 {
-		t.Fatalf("no latency samples: read n=%d write n=%d", res.ReadLatNs.N, res.WriteLatNs.N)
+	if res.ReadTotalNs.N() == 0 || res.WriteTotalNs.N() == 0 {
+		t.Fatalf("no latency samples: read n=%d write n=%d", res.ReadTotalNs.N(), res.WriteTotalNs.N())
 	}
-	if res.ReadLatNs.N+res.WriteLatNs.N != 2000 {
-		t.Fatalf("SampleEvery=1 must sample every op; got %d", res.ReadLatNs.N+res.WriteLatNs.N)
+	if res.ReadTotalNs.N()+res.WriteTotalNs.N() != 2000 {
+		t.Fatalf("SampleEvery=1 must sample every op; got %d", res.ReadTotalNs.N()+res.WriteTotalNs.N())
 	}
 }
 
@@ -195,10 +195,10 @@ func TestWaitHoldSplit(t *testing.T) {
 		t.Fatalf("total mean %.0f below a component (wait %.0f hold %.0f)",
 			res.ReadTotalNs.Mean(), res.ReadWaitNs.Mean(), res.ReadHoldNs.Mean())
 	}
-	// The legacy summaries mirror the Total histograms.
-	if res.ReadLatNs.N != int(res.ReadTotalNs.N()) || res.ReadLatNs.Max != res.ReadTotalNs.Max() {
-		t.Fatalf("legacy summary diverged from histogram: %+v vs n=%d max=%d",
-			res.ReadLatNs, res.ReadTotalNs.N(), res.ReadTotalNs.Max())
+	// The Total histogram's summary agrees with the histogram.
+	if s := res.ReadTotalNs.Summary(); s.N != int(res.ReadTotalNs.N()) || s.Max != res.ReadTotalNs.Max() {
+		t.Fatalf("Total summary diverged from its histogram: %+v vs n=%d max=%d",
+			s, res.ReadTotalNs.N(), res.ReadTotalNs.Max())
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // priority / starvation-freedom guarantees against other writers and
 // slow-path readers), then revokes the bias: it clears the flag and
 // scans the slots this lock's readers can occupy until every
-// published reader has left (see ReaderTable.drainFor).  Readers that
+// published reader has left (see readerTable.drainFor).  Readers that
 // arrive with the bias down take the inner lock's ordinary read path
 // unchanged, and re-arm the bias once the revocation throttle — a
 // countdown of slow read passages sized to the revocation the writer
@@ -32,7 +32,7 @@ import (
 //
 // Mutual exclusion, deadlock-freedom and both classes' starvation-
 // freedom are preserved for every wrapped discipline: a writer always
-// completes revocation because slots quiesce (see ReaderTable.drainFor),
+// completes revocation because slots quiesce (see readerTable.drainFor),
 // and readers always have either the fast path or the inner lock's own
 // progress guarantee.  Strict arrival-order fairness (FIFE, RP1/WP1)
 // is what BRAVO trades away while the bias is armed: a fast-path
@@ -58,12 +58,10 @@ type Bravo struct {
 	// without a clock read on any path.
 	slowBudget atomic.Int64
 	_          [56]byte
-	// slots is the visible-readers table: private to this lock by
-	// default, or a process-shared arena under WithSharedReaderTable
-	// (same code either way — a private table is an arena with one
-	// owner).  id tags this lock's claims so a shared drain waits only
-	// on its own readers.
-	slots *ReaderTable
+	// slots is the lock's private visible-readers table (the same
+	// code as the Slim locks' shared arena — a private table is an
+	// arena with one owner), and id tags this lock's claims in it.
+	slots *readerTable
 	id    int64
 	inner RWLock
 	// innerCombines records (once, at construction) whether the inner
@@ -97,11 +95,9 @@ const bravoBusyFactor = 2
 // NewBravo wraps inner with the BRAVO reader fast path.  If inner is
 // nil, a starvation-free MWSF lock (unbounded writers, matching
 // NewGuard's default) is built from opts.  Options configure the
-// wrapper itself (WithStats, WithSharedReaderTable); the inner lock
-// keeps whatever it was constructed with — the NewBravoMW* helpers
-// apply one option list to both layers.  WithSharedReaderTable(tbl)
-// publishes fast-path readers in tbl instead of a private table (see
-// the option doc for the trade).
+// wrapper itself (WithStats); the inner lock keeps whatever it was
+// constructed with — the NewBravoMW* helpers apply one option list to
+// both layers.
 // Wrapping a *Bravo in another *Bravo panics: the outer wrapper would
 // misroute the inner one's fast-path tokens.
 func NewBravo(inner RWLock, opts ...Option) *Bravo {
@@ -112,10 +108,7 @@ func NewBravo(inner RWLock, opts ...Option) *Bravo {
 	if _, ok := inner.(*Bravo); ok {
 		panic("rwlock: NewBravo applied to a *Bravo (nested BRAVO wrappers are not supported)")
 	}
-	tbl := o.sharedTable
-	if tbl == nil {
-		tbl = newReaderTable(0)
-	}
+	tbl := newReaderTable(0)
 	b := &Bravo{slots: tbl, id: tbl.assignID(), inner: inner, stats: o.stats}
 	_, b.innerCombines = CombinerStatsOf(inner)
 	// Start read-biased: the wrapper exists for read-mostly workloads,

@@ -286,7 +286,7 @@ func TestReaderSlotsClaimReleaseDrain(t *testing.T) {
 				held = append(held, idx)
 			}
 			// A drain for a DIFFERENT owner must skip the claimed slots
-			// entirely — the shared-arena isolation property.
+			// entirely — the Slim arena's isolation property.
 			if other := rs.drainFor(id + 1); other != 0 {
 				t.Fatalf("drainFor(other) waited on %d foreign slots", other)
 			}
@@ -329,7 +329,7 @@ func TestReaderTableClaimsInCandidateSet(t *testing.T) {
 		if rs.span < 4 || rs.span*regions != uint64(len(rs.slots)) {
 			t.Fatalf("size %d: %d regions of %d slots over %d, want regions of at least 4 tiling the arena", size, regions, rs.span, len(rs.slots))
 		}
-		ids := []int64{1, 2, 3, 17, 255, 1 << 20, slimIDMask, 1<<40 + 7}
+		ids := []int64{1, 2, 3, 17, 255, 1 << 20, 1<<32 - 1, 1<<40 + 7}
 		for i := 0; i < 8; i++ {
 			ids = append(ids, rs.assignID())
 		}

@@ -113,18 +113,6 @@ type Epoch struct {
 	// mu serializes registry appends (the pool.New path only).
 	mu sync.Mutex
 
-	// shared/sid select the shared-arena deployment
-	// (WithSharedReaderTable): fast readers claim a slot in the shared
-	// table tagged with sid instead of stamping a leased private slot,
-	// and the grace scan reads sid's candidate slots in every region,
-	// waiting only on sid's claims.
-	// This trades the zero-RMW read passage for a one-CAS passage
-	// (Bravo's fast-path cost) but shrinks the per-lock footprint from
-	// the priv cache + pool + registry to one id — the deployment for
-	// 10^5-10^6 lock instances.  nil/0 in the private deployment.
-	shared *ReaderTable
-	sid    int64
-
 	innerCombines bool
 
 	// Writer-side bookkeeping, all guarded by the arbitration mutex
@@ -225,19 +213,15 @@ type VersionRetirer interface {
 // lock (including a *Bravo or another *Epoch) panics.  Options
 // configure the wrapper's own waiting (the grace scan and the stamp
 // slots); the NewEpochMW* helpers apply one option list to both
-// layers.  WithSharedReaderTable(tbl) selects the
-// shared-arena deployment: fast readers claim tagged slots in tbl
-// (one CAS — the zero-RMW passage is the private deployment's) and
-// the per-lock reader state shrinks to one owner id; see the option
-// doc for the full trade.
+// layers.
 func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 	o := applyOptions(opts)
 	if inner == nil {
 		inner = NewMWSF(opts...)
 	}
-	// Copied out of o so the pool closure below captures two words,
+	// Copied out of o so the pool closure below captures one word,
 	// not the whole options struct.
-	shared, st := o.sharedTable, o.stats
+	st := o.stats
 	var m writerMutex
 	switch l := inner.(type) {
 	case *MWSF:
@@ -250,51 +234,40 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 		panic("rwlock: NewEpoch requires a multi-writer inner lock (*MWSF, *MWRP or *MWWP)")
 	}
 	e := &Epoch{inner: inner, m: m, lstats: st}
-	if shared != nil {
-		// Shared-arena deployment: no per-P cache, no pool, no private
-		// slot registry — the per-lock reader state is one owner id,
-		// and every path below branches on e.shared before touching
-		// the private-deployment fields.
-		e.shared = shared
-		e.sid = shared.assignID()
-	}
 	e.global.v.Store(2)
-	if e.shared == nil {
-		// Private deployment only: size the per-P cache for the Ps
-		// that exist now, with a floor so tiny boxes still cache and a
-		// cap so a huge GOMAXPROCS doesn't buy a page of padding per
-		// lock.  Ps added later miss the bound check and lease from
-		// the pool — correct, just slower.
-		n := runtime.GOMAXPROCS(0)
-		if n < 4 {
-			n = 4
+	// Size the per-P cache for the Ps that exist now, with a floor so
+	// tiny boxes still cache and a cap so a huge GOMAXPROCS doesn't buy
+	// a page of padding per lock.  Ps added later miss the bound check
+	// and lease from the pool — correct, just slower.
+	n := runtime.GOMAXPROCS(0)
+	if n < 4 {
+		n = 4
+	}
+	if n > 128 {
+		n = 128
+	}
+	e.priv = make([]epochPrivSlot, n)
+	empty := make([]*epochSlot, 0)
+	e.slots.Store(&empty)
+	e.pool.New = func() any {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		cur := *e.slots.Load()
+		if len(cur) >= epochMaxSlots {
+			return (*epochSlot)(nil) // cap reached: caller takes the slow path
 		}
-		if n > 128 {
-			n = 128
-		}
-		e.priv = make([]epochPrivSlot, n)
-		empty := make([]*epochSlot, 0)
-		e.slots.Store(&empty)
-		e.pool.New = func() any {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			cur := *e.slots.Load()
-			if len(cur) >= epochMaxSlots {
-				return (*epochSlot)(nil) // cap reached: caller takes the slow path
-			}
-			s := &epochSlot{idx: int64(len(cur))}
-			s.cell.setStats(st)
-			next := make([]*epochSlot, len(cur)+1)
-			copy(next, cur)
-			next[len(cur)] = s
-			// The registry store is sequentially consistent and precedes
-			// the new slot's first stamp (same goroutine), so a grace scan
-			// whose advance the stamping reader did not observe is
-			// guaranteed to load a registry that includes this slot — the
-			// Dekker argument on RLock covers late registrations too.
-			e.slots.Store(&next)
-			return s
-		}
+		s := &epochSlot{idx: int64(len(cur))}
+		s.cell.setStats(st)
+		next := make([]*epochSlot, len(cur)+1)
+		copy(next, cur)
+		next[len(cur)] = s
+		// The registry store is sequentially consistent and precedes
+		// the new slot's first stamp (same goroutine), so a grace scan
+		// whose advance the stamping reader did not observe is
+		// guaranteed to load a registry that includes this slot — the
+		// Dekker argument on RLock covers late registrations too.
+		e.slots.Store(&next)
+		return s
 	}
 	_, e.innerCombines = CombinerStatsOf(inner)
 	m.onBatchRetire(e.onBoundary)
@@ -303,7 +276,7 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 
 // NewEpochMWSF returns Epoch(MWSF): the starvation-free Theorem 3 lock
 // with the zero-RMW epoch reader fast path.  Options (writer
-// arbitration, reclaim cadence, stats) apply to both layers.
+// arbitration, stats) apply to both layers.
 func NewEpochMWSF(opts ...Option) *Epoch {
 	return NewEpoch(NewMWSF(opts...), opts...)
 }
@@ -364,29 +337,9 @@ func (e *Epoch) putSlot(s *epochSlot) {
 // plain store into the slot's private line, and one recheck load — no
 // shared-word RMW anywhere (the property TestEpochReaderZeroRMW pins
 // on the simulator encoding of this exact protocol).
-//
-// In the shared-arena deployment the lease+stamp is instead one
-// tagged claim CAS in the shared table (the zero-RMW property is the
-// private deployment's); the recheck-after-publish Dekker argument is
-// unchanged — either the claim is visible to the advancing writer's
-// arena scan, or the recheck sees the odd epoch and backs out.
 func (e *Epoch) tryFast() (RToken, bool) {
 	g := e.global.v.Load()
 	if g&1 != 0 {
-		return RToken{}, false
-	}
-	if e.shared != nil {
-		idx, ok := e.shared.tryClaim(e.sid)
-		if !ok {
-			return RToken{}, false // arena contended: slow path
-		}
-		if e.global.v.Load() == g {
-			if st := e.lstats; st != nil {
-				st.ReadAcquires.Add(1)
-			}
-			return RToken{side: epochFastSide, id: idx}, true
-		}
-		e.shared.release(idx) // wake matters: a grace scan may be parked here
 		return RToken{}, false
 	}
 	var s *epochSlot
@@ -425,11 +378,6 @@ func (e *Epoch) tryFast() (RToken, bool) {
 // the matching RLock.
 func (e *Epoch) RUnlock(t RToken) {
 	if t.side == epochFastSide {
-		if t.eslot == nil {
-			// Shared-arena fast token: the claim index is the payload.
-			e.shared.release(t.id)
-			return
-		}
 		s := t.eslot
 		s.cell.storeWake(0) // clear the stamp, waking a draining writer
 		// putSlot, inlined by hand (see its doc): cache the slot on
@@ -487,20 +435,6 @@ func (e *Epoch) writerEnter() {
 		// layer is exclusive (the arbitration mutex is held), so plain
 		// store/clear pairs cannot interleave.
 		st.GraceActiveNS.Store(nowNanos())
-	}
-	if e.shared != nil {
-		// Shared-arena grace wait: scan the slots this lock's readers
-		// can occupy, waiting only on its own claims (other locks'
-		// claims there are skipped).
-		// The same ordering argument as below applies — a claim
-		// either precedes the advance (and is waited for) or its
-		// recheck sees the odd epoch and backs out.
-		e.shared.drainFor(e.sid)
-		e.lastDrain = g
-		if st != nil {
-			st.GraceActiveNS.Store(0)
-		}
-		return
 	}
 	// Grace wait: every slot stamped before the advance must clear.
 	// The registry is loaded AFTER the advance, so any reader whose
@@ -620,8 +554,8 @@ func (e *Epoch) TryLock() (WToken, bool) {
 	if st := e.lstats; st != nil {
 		st.EpochAdvances.Add(1)
 	}
-	if e.shared != nil {
-		if !e.shared.idleFor(e.sid) {
+	for _, s := range *e.slots.Load() {
+		if s.cell.load() != 0 {
 			e.global.v.Add(1) // restore even without a grace wait
 			e.stats.Advances++
 			e.inner.Unlock(t)
@@ -630,19 +564,6 @@ func (e *Epoch) TryLock() (WToken, bool) {
 				st.TrySheds.Add(1)
 			}
 			return WToken{}, false
-		}
-	} else {
-		for _, s := range *e.slots.Load() {
-			if s.cell.load() != 0 {
-				e.global.v.Add(1) // restore even without a grace wait
-				e.stats.Advances++
-				e.inner.Unlock(t)
-				if st := e.lstats; st != nil {
-					st.EpochAdvances.Add(1)
-					st.TrySheds.Add(1)
-				}
-				return WToken{}, false
-			}
 		}
 	}
 	// No stamps were live after the advance, which is exactly what a

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestLockFootprint pins measured bytes/instance for the private- vs
-// shared-table builds of the two reader-fast-path protocols — the
+// TestLockFootprint pins measured bytes/instance for the private and
+// Slim builds of the two reader-fast-path protocols — the
 // number the serving tier's 10^6-stripe grids stand on.  The measure
 // is heap growth across n constructions PLUS one warm passage each
 // (a read and a write), so lazily-allocated state — Epoch's pool
@@ -17,7 +17,7 @@ import (
 //
 // The pinned bounds are deliberately loose (allocator size classes
 // and Go-version drift must not flake this test); the ratio bound is
-// the load-bearing one: the shared-arena slim builds must stay two
+// the load-bearing one: the arena-backed slim builds must stay two
 // orders of magnitude under the private builds, or the 10^6-stripe
 // story in README.md is broken.
 func TestLockFootprint(t *testing.T) {
@@ -26,7 +26,7 @@ func TestLockFootprint(t *testing.T) {
 	}
 	const n = 4096
 	measure := func(build func() RWLock) float64 {
-		// Warm shared machinery (default arena, lazy globals) outside
+		// Warm shared machinery (the Slim arena, lazy globals) outside
 		// the window, and the measurement slice too.
 		w := build()
 		rt := w.RLock()
@@ -58,11 +58,9 @@ func TestLockFootprint(t *testing.T) {
 	slimBravo := measure(func() RWLock { return NewSlimBravo() })
 	privEpoch := measure(func() RWLock { return NewEpochMWSF() })
 	slimEpoch := measure(func() RWLock { return NewSlimEpoch() })
-	sharedBravo := measure(func() RWLock { return NewBravoMWSF(WithSharedReaderTable(DefaultReaderTable())) })
-	sharedEpoch := measure(func() RWLock { return NewEpochMWSF(WithSharedReaderTable(DefaultReaderTable())) })
 
-	t.Logf("bytes/instance: Bravo(MWSF) private=%.0f shared=%.0f slim=%.0f", privBravo, sharedBravo, slimBravo)
-	t.Logf("bytes/instance: Epoch(MWSF) private=%.0f shared=%.0f slim=%.0f", privEpoch, sharedEpoch, slimEpoch)
+	t.Logf("bytes/instance: Bravo(MWSF) private=%.0f slim=%.0f", privBravo, slimBravo)
+	t.Logf("bytes/instance: Epoch(MWSF) private=%.0f slim=%.0f", privEpoch, slimEpoch)
 
 	// The slim builds are one 16-byte object; allow allocator slack.
 	if slimBravo > 64 {
@@ -71,21 +69,12 @@ func TestLockFootprint(t *testing.T) {
 	if slimEpoch > 64 {
 		t.Errorf("SlimEpoch %.0f bytes/instance, want <= 64", slimEpoch)
 	}
-	// The acceptance ratio: shared-table slim builds >= 100x under the
+	// The acceptance ratio: the slim builds >= 100x under the
 	// private-table wrappers.
 	if privBravo < 100*slimBravo {
 		t.Errorf("private Bravo %.0f vs slim %.0f: ratio %.1fx, want >= 100x", privBravo, slimBravo, privBravo/slimBravo)
 	}
 	if privEpoch < 100*slimEpoch {
 		t.Errorf("private Epoch %.0f vs slim %.0f: ratio %.1fx, want >= 100x", privEpoch, slimEpoch, privEpoch/slimEpoch)
-	}
-	// The full wrappers under WithSharedReaderTable shed their
-	// private tables/caches: strictly smaller than the private builds
-	// (the intermediate point README's table shows).
-	if sharedBravo >= privBravo {
-		t.Errorf("shared-table Bravo %.0f not below private %.0f", sharedBravo, privBravo)
-	}
-	if sharedEpoch >= privEpoch {
-		t.Errorf("shared-table Epoch %.0f not below private %.0f", sharedEpoch, privEpoch)
 	}
 }

@@ -186,14 +186,14 @@ func TestOversubGuard(t *testing.T) {
 // the lock's slow path.  writes_pct adds that share of write passages
 // (each a bias revocation that drains the held fast-path readers).
 // Besides ns/op it reports fast_pct, the share of read passages that
-// took the arena fast path.  Run it with -cpu 2 for the 2-P layout.
+// took the fast path.  Run it with -cpu 2 for the 2-P layout.
 func BenchmarkOversubReadHold(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		mk   func() RWLock
 	}{
 		{"SlimBravo", func() RWLock { return NewSlimBravo() }},
-		{"Bravo(MWSF)/shared", func() RWLock { return NewBravoMWSF(WithSharedReaderTable(DefaultReaderTable())) }},
+		{"Bravo(MWSF)", func() RWLock { return NewBravoMWSF() }},
 	} {
 		for _, perP := range []int{4, 16} {
 			for _, writesPct := range []int{0, 1} {

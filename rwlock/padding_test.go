@@ -38,15 +38,16 @@ func TestWaitCellPadding(t *testing.T) {
 	}
 }
 
-// TestReaderTablePadding: the shared arena is the []waitCell layout
+// TestReaderTablePadding: the reader table is the []waitCell layout
 // again (per-slot isolation comes from waitCell's audited size), but
-// the table HEADER matters once the arena is process-shared: every
+// the table HEADER matters in the Slim arena, which every Slim lock
+// shares: every
 // fast-path claim loads the slice header and the region geometry
 // (rmask, span), so those must share line 0, and the id counter —
 // RMW'd by every lock construction — must sit on its own line, or a
 // grid build would invalidate every running reader's probe loads.
 func TestReaderTablePadding(t *testing.T) {
-	var rt ReaderTable
+	var rt readerTable
 	for _, f := range []struct {
 		name      string
 		off, size uintptr
@@ -56,18 +57,18 @@ func TestReaderTablePadding(t *testing.T) {
 		{"span", unsafe.Offsetof(rt.span), unsafe.Sizeof(rt.span)},
 	} {
 		if f.off+f.size > cacheLine {
-			t.Errorf("ReaderTable.%s spans [%d, %d), want it inside line 0 (the claim path reads it)", f.name, f.off, f.off+f.size)
+			t.Errorf("readerTable.%s spans [%d, %d), want it inside line 0 (the claim path reads it)", f.name, f.off, f.off+f.size)
 		}
 	}
 	if off := unsafe.Offsetof(rt.nextID); off%cacheLine != 0 {
-		t.Errorf("ReaderTable.nextID at offset %d, want a %d-byte boundary (construction traffic must not share the claim path's header line)", off, cacheLine)
+		t.Errorf("readerTable.nextID at offset %d, want a %d-byte boundary (construction traffic must not share the claim path's header line)", off, cacheLine)
 	}
 	if sz := unsafe.Sizeof(rt); sz%cacheLine != 0 {
-		t.Errorf("sizeof(ReaderTable) = %d, not a multiple of %d", sz, cacheLine)
+		t.Errorf("sizeof(readerTable) = %d, not a multiple of %d", sz, cacheLine)
 	}
-	tbl := DefaultReaderTable()
-	if n := tbl.Slots(); n&(n-1) != 0 || n < 8 {
-		t.Errorf("DefaultReaderTable has %d slots, want a power of two >= 8", n)
+	NewSlimBravo() // builds the Slim arena on first use
+	if n := len(slimArena.slots); n&(n-1) != 0 || n < 8 {
+		t.Errorf("the Slim arena has %d slots, want a power of two >= 8", n)
 	}
 }
 

@@ -67,34 +67,30 @@
 // reclamation is wanted (its fast path reopens unconditionally at
 // every batch boundary, so there is no revocation dead zone).
 //
-// # Serving tier: shared tables and slim locks
+// # Serving tier: slim locks
 //
 // Both fast paths were designed for a handful of heavily contended
 // locks; a serving tier inverts that — 10^5 to 10^6 lightly contended
 // lock instances striping a key space (see the rwmap package).  At
 // that scale the per-lock footprint dominates: a private Bravo table
-// or Epoch slot array costs kilobytes per instance.  Two mechanisms
-// shrink it:
-//
-//   - WithSharedReaderTable(tbl) makes a Bravo or Epoch wrapper
-//     publish readers in a shared ReaderTable arena instead of a
-//     private one, following the global-table design of BRAVO
-//     (arXiv:1810.01553).  Slots carry owner identities, so a writer
-//     drains only its own lock's readers, reading only the slots
-//     they can occupy (3 per lock in each P's region of the arena);
-//     collisions between locks cost a spurious slow-path read, never
-//     correctness.  Per-lock cost drops to the wrapper header plus
-//     one table shared by the whole grid.
-//   - NewSlimBravo and NewSlimEpoch are 16-byte packed variants of
-//     the same two protocols: one atomic word of state plus a
-//     reference into a process-wide table registry.  They give up the
-//     pluggable inner lock and the option set of the full wrappers to
-//     hit the allocator's smallest size class — the build the
-//     10^6-stripe grids use.
+// or Epoch slot array costs kilobytes per instance.  NewSlimBravo and
+// NewSlimEpoch are 16-byte packed variants of the same two protocols:
+// one atomic word of state plus an owner id in one package-wide
+// reader arena, following the global-table design of BRAVO
+// (arXiv:1810.01553).  Slots carry owner identities, so a writer
+// drains only its own lock's readers, reading only the slots they
+// can occupy (3 per lock in each P's region of the arena); collisions
+// between locks cost a spurious slow-path read, never correctness.
+// The Slim locks give up the pluggable inner lock and the option set
+// of the full wrappers to hit the allocator's smallest size class —
+// the build the 10^6-stripe grids use.  Every reader fast-path build
+// has one place to publish its readers: the full wrappers in their
+// private state (for one hot lock), the Slim locks in the arena (for
+// many instances).
 //
 // The zipf-grid benchmark scenario measures the resulting trade:
-// bytes per lock instance (private vs shared vs slim) against hot-key
-// read throughput under Zipfian traffic.
+// bytes per lock instance (private vs slim) against hot-key read
+// throughput under Zipfian traffic.
 //
 // # Tokens
 //

@@ -21,10 +21,9 @@ import (
 // (BRAVO's claim/recheck against a bias, Epoch's publish/recheck
 // against an epoch parity) but shrink everything else:
 //
-//   - All reader visibility lives in a shared ReaderTable arena
-//     (WithSharedReaderTable, DefaultReaderTable by default) — the
-//     BRAVO paper's global table — so the per-instance reader state
-//     is an owner id.
+//   - All reader visibility lives in one package-wide arena (the
+//     slim arena below) — the BRAVO paper's global table — so the
+//     per-instance reader state is an owner id.
 //   - The slow path is a single packed state word (reader count,
 //     writer bit, bias/epoch), i.e. the centralized reader-writer
 //     protocol the paper's baselines use, NOT the constant-RMR
@@ -35,8 +34,7 @@ import (
 //     cores the expected per-instance queue length is ~0, so there
 //     is no queue to manage.
 //   - The whole lock is ONE 16-byte allocation: the state word plus
-//     a packed reference (arena registry index in the high 8 bits,
-//     owner id in the low 24 — see slimRef).
+//     the 32-bit owner id of the lock's claims in the arena.
 //
 // Fairness: neither variant orders its writers (no FCFS, no
 // starvation-freedom under sustained single-instance contention).
@@ -44,13 +42,12 @@ import (
 // instances ≫ goroutines, and 100x+ smaller.  For a hot single lock,
 // use the full wrappers.
 //
-// Owner ids are 24-bit truncations of the arena's id sequence, so
-// after ~16.7M lock constructions over one table ids recycle.  An id
-// collision is a PERFORMANCE hazard only, never a correctness one:
-// a drain that waits on a same-id slot claimed by another lock's
-// reader waits out one bounded read passage spuriously; mutual
-// exclusion always comes from the lock's own state word plus the
-// claim/recheck ordering.
+// Owner ids are 32-bit truncations of the arena's id sequence, so
+// after ~4.3G lock constructions ids recycle.  An id collision is a
+// PERFORMANCE hazard only, never a correctness one: a drain that
+// waits on a same-id slot claimed by another lock's reader waits out
+// one bounded read passage spuriously; mutual exclusion always comes
+// from the lock's own state word plus the claim/recheck ordering.
 //
 // Observability: the Slim locks do NOT implement the WithStats seam —
 // they take no options, and a per-instance stats pointer would double
@@ -61,68 +58,28 @@ import (
 // path: -1 is Bravo's, -2 is Epoch's, so -3 is unambiguous.
 const slimFastSide = int32(-3)
 
-// slimIDMask extracts the 24-bit owner id from a packed slim ref (and
-// bounds the id bits ReaderTable.assignID keeps nonzero).
-const slimIDMask = 1<<24 - 1
-
-// slimMaxTables bounds the arena registry: a slim lock addresses its
-// table through an 8-bit registry index instead of an 8-byte pointer
-// (half the lock's total size).  Tables are process-wide singletons
-// (usually just DefaultReaderTable), so 256 is generous.
-const slimMaxTables = 256
-
+// slimArena is the reader table every Slim lock publishes in: one
+// process-wide arena, sized up from a private table (many locks share
+// it, so each P's region must hold more locks' readers) but capped —
+// each slot is two cache lines, and the re-arm throttle grows with
+// the slot count.  32 slots per P, floor 64, cap 4096 (the BRAVO
+// paper's global table size): on 2 Ps it is two regions of 32 slots,
+// and a revocation reads 6 of its 64 slots.  The first Slim
+// construction builds it — not package init, which runs before a main
+// that sets GOMAXPROCS — and it never changes after that, so the lock
+// paths reach it with one plain load.
 var (
-	slimTableMu sync.Mutex
-	slimTableN  atomic.Int32
-	slimTables  [slimMaxTables]atomic.Pointer[ReaderTable]
+	slimArena     *readerTable
+	slimArenaOnce sync.Once
 )
 
-// slimRegister returns t's index in the arena registry, assigning one
-// on first use.  Constructor-path only; lookups on the lock's hot
-// paths are one bounds-checked atomic load (slimTable).
-func slimRegister(t *ReaderTable) uint32 {
-	n := int(slimTableN.Load())
-	for i := 0; i < n; i++ {
-		if slimTables[i].Load() == t {
-			return uint32(i)
-		}
-	}
-	slimTableMu.Lock()
-	defer slimTableMu.Unlock()
-	n = int(slimTableN.Load())
-	for i := 0; i < n; i++ {
-		if slimTables[i].Load() == t {
-			return uint32(i)
-		}
-	}
-	if n >= slimMaxTables {
-		panic("rwlock: Slim locks constructed over more than 256 distinct ReaderTables; share tables (see DefaultReaderTable)")
-	}
-	slimTables[n].Store(t)
-	slimTableN.Store(int32(n + 1))
-	return uint32(n)
-}
-
-// slimRef packs a lock's arena identity into one word: registry index
-// in the high 8 bits, 24-bit owner id below.
-func slimRef(t *ReaderTable) uint32 {
-	idx := slimRegister(t)
-	id := uint32(t.assignID()) & slimIDMask
-	return idx<<24 | id
-}
-
-func slimTable(ref uint32) *ReaderTable { return slimTables[ref>>24].Load() }
-func slimOwner(ref uint32) int64        { return int64(ref & slimIDMask) }
-
-// slimResolve applies the shared-table option with the package
-// default, the common constructor head of both Slim variants.
-func slimResolve(opts []Option) uint32 {
-	o := applyOptions(opts)
-	t := o.sharedTable
-	if t == nil {
-		t = DefaultReaderTable()
-	}
-	return slimRef(t)
+// slimNewID returns a fresh owner id in the slim arena, building the
+// arena on first use.
+func slimNewID() uint32 {
+	slimArenaOnce.Do(func() {
+		slimArena = newReaderTable(min(max(32*runtime.GOMAXPROCS(0), 64), 4096))
+	})
+	return uint32(slimArena.assignID())
 }
 
 // SlimBravo state-word layout.  Readers inside through the slow path
@@ -142,22 +99,21 @@ const (
 )
 
 // SlimBravo is the BRAVO protocol at minimum footprint: a 16-byte
-// lock (one packed state word + one packed arena reference) whose
-// fast-path readers publish themselves in a shared ReaderTable.  See
-// the file comment for what is kept and what is traded against the
-// full Bravo wrapper.  Construct with NewSlimBravo; the zero value is
-// not ready (the bias starts armed).
+// lock (one packed state word + one arena owner id) whose fast-path
+// readers publish themselves in the slim arena.  See the file comment
+// for what is kept and what is traded against the full Bravo wrapper.
+// Construct with NewSlimBravo; the zero value is not ready (the bias
+// starts armed).
 type SlimBravo struct {
 	state atomic.Int64
-	ref   uint32
+	id    uint32
 }
 
-// NewSlimBravo returns a read-biased SlimBravo.  The only options
-// honored are WithSharedReaderTable (default: DefaultReaderTable();
-// revocation drains wait on the table's cells, which park — every
-// other wait is a yield loop, see the file comment).
-func NewSlimBravo(opts ...Option) *SlimBravo {
-	l := &SlimBravo{ref: slimResolve(opts)}
+// NewSlimBravo returns a read-biased SlimBravo.  Revocation drains
+// wait on the arena's cells, which park; every other wait is a yield
+// loop (see the file comment).
+func NewSlimBravo() *SlimBravo {
+	l := &SlimBravo{id: slimNewID()}
 	l.state.Store(slimBias)
 	return l
 }
@@ -165,8 +121,8 @@ func NewSlimBravo(opts ...Option) *SlimBravo {
 // RLock acquires read mode: the arena fast path while the bias is
 // armed, the state-word reader count otherwise.
 func (l *SlimBravo) RLock() RToken {
-	tbl := slimTable(l.ref)
-	id := slimOwner(l.ref)
+	tbl := slimArena
+	id := int64(l.id)
 	for {
 		s := l.state.Load()
 		if s&slimBias != 0 {
@@ -205,7 +161,7 @@ func (l *SlimBravo) RLock() RToken {
 // the matching RLock.
 func (l *SlimBravo) RUnlock(t RToken) {
 	if t.side == slimFastSide {
-		slimTable(l.ref).release(t.id)
+		slimArena.release(t.id)
 		return
 	}
 	l.state.Add(-slimRC)
@@ -241,9 +197,8 @@ func (l *SlimBravo) writerSettle(hadBias bool) {
 	if !hadBias {
 		return
 	}
-	tbl := slimTable(l.ref)
-	busy := tbl.drainFor(slimOwner(l.ref))
-	budget := int64(1 + tbl.Slots()/8 + bravoBusyFactor*busy)
+	busy := slimArena.drainFor(int64(l.id))
+	budget := int64(1 + len(slimArena.slots)/8 + bravoBusyFactor*busy)
 	if budget > slimCDMax {
 		budget = slimCDMax
 	}
@@ -279,14 +234,13 @@ func (l *SlimBravo) TryLock() (WToken, bool) {
 		return WToken{}, false
 	}
 	if s&slimBias != 0 {
-		tbl := slimTable(l.ref)
-		if !tbl.idleFor(slimOwner(l.ref)) {
+		if !slimArena.idleFor(int64(l.id)) {
 			// Restore bias and release in one add: we hold the writer
 			// bit, so nothing else can touch either bit concurrently.
 			l.state.Add(slimBias - slimWH)
 			return WToken{}, false
 		}
-		budget := int64(1 + tbl.Slots()/8)
+		budget := int64(1 + len(slimArena.slots)/8)
 		for {
 			cur := l.state.Load()
 			if l.state.CompareAndSwap(cur, (cur&^slimCDMask)|budget<<34) {
@@ -300,10 +254,10 @@ func (l *SlimBravo) TryLock() (WToken, bool) {
 // TryRLock attempts read mode without blocking: one arena claim
 // attempt while biased, else one registration CAS.
 func (l *SlimBravo) TryRLock() (RToken, bool) {
-	tbl := slimTable(l.ref)
+	tbl := slimArena
 	s := l.state.Load()
 	if s&slimBias != 0 {
-		if idx, ok := tbl.tryClaim(slimOwner(l.ref)); ok {
+		if idx, ok := tbl.tryClaim(int64(l.id)); ok {
 			if l.state.Load()&slimBias != 0 {
 				return RToken{side: slimFastSide, id: idx}, true
 			}
@@ -356,8 +310,8 @@ func (l *SlimBravo) LockCtx(ctx context.Context) (WToken, error) {
 // RLockCtx acquires read mode, aborting with ctx.Err() while waiting
 // out a writer; the fast path never waits, so ctx plays no part in it.
 func (l *SlimBravo) RLockCtx(ctx context.Context) (RToken, error) {
-	tbl := slimTable(l.ref)
-	id := slimOwner(l.ref)
+	tbl := slimArena
+	id := int64(l.id)
 	done := ctx.Done()
 	for {
 		s := l.state.Load()
@@ -420,7 +374,7 @@ const (
 )
 
 // SlimEpoch is the epoch-parity protocol at minimum footprint: a
-// 16-byte lock whose fast-path readers claim shared-arena slots and
+// 16-byte lock whose fast-path readers claim slim-arena slots and
 // recheck the packed epoch, and whose writers advance the epoch to
 // odd and wait out a grace period.  Unlike the full Epoch wrapper
 // there is no deferred version reclamation (no Retire) and no batch
@@ -428,21 +382,20 @@ const (
 // comment for the full trade.  Construct with NewSlimEpoch.
 type SlimEpoch struct {
 	state atomic.Int64
-	ref   uint32
+	id    uint32
 }
 
-// NewSlimEpoch returns a SlimEpoch.  The only option honored is
-// WithSharedReaderTable (default: DefaultReaderTable()).
-func NewSlimEpoch(opts ...Option) *SlimEpoch {
-	return &SlimEpoch{ref: slimResolve(opts)}
+// NewSlimEpoch returns a SlimEpoch.
+func NewSlimEpoch() *SlimEpoch {
+	return &SlimEpoch{id: slimNewID()}
 }
 
 // RLock acquires read mode: claim an arena slot and recheck the epoch
 // while it is even, registering in the packed reader count when the
 // arena is contended, yielding while a writer (odd epoch) is inside.
 func (l *SlimEpoch) RLock() RToken {
-	tbl := slimTable(l.ref)
-	id := slimOwner(l.ref)
+	tbl := slimArena
+	id := int64(l.id)
 	for {
 		s := l.state.Load()
 		if s&slimEpochOne != 0 {
@@ -470,7 +423,7 @@ func (l *SlimEpoch) RLock() RToken {
 // the matching RLock.
 func (l *SlimEpoch) RUnlock(t RToken) {
 	if t.side == slimFastSide {
-		slimTable(l.ref).release(t.id)
+		slimArena.release(t.id)
 		return
 	}
 	l.state.Add(-1)
@@ -490,7 +443,7 @@ func (l *SlimEpoch) Lock() WToken {
 			for l.state.Load()&slimERCMask != 0 {
 				runtime.Gosched()
 			}
-			slimTable(l.ref).drainFor(slimOwner(l.ref))
+			slimArena.drainFor(int64(l.id))
 			return WToken{}
 		}
 	}
@@ -522,7 +475,7 @@ func (l *SlimEpoch) TryLock() (WToken, bool) {
 	if !l.state.CompareAndSwap(s, s+slimEpochOne) {
 		return WToken{}, false
 	}
-	if !slimTable(l.ref).idleFor(slimOwner(l.ref)) {
+	if !slimArena.idleFor(int64(l.id)) {
 		l.state.Add(slimEpochOne) // reopen without a grace wait
 		return WToken{}, false
 	}
@@ -532,13 +485,13 @@ func (l *SlimEpoch) TryLock() (WToken, bool) {
 // TryRLock attempts read mode without blocking: one arena claim
 // attempt, else one registration CAS while the epoch is even.
 func (l *SlimEpoch) TryRLock() (RToken, bool) {
-	tbl := slimTable(l.ref)
+	tbl := slimArena
 	s := l.state.Load()
 	if s&slimEpochOne != 0 {
 		return RToken{}, false
 	}
 	g := s &^ slimERCMask
-	if idx, ok := tbl.tryClaim(slimOwner(l.ref)); ok {
+	if idx, ok := tbl.tryClaim(int64(l.id)); ok {
 		if l.state.Load()&^slimERCMask == g {
 			return RToken{side: slimFastSide, id: idx}, true
 		}
@@ -573,7 +526,7 @@ func (l *SlimEpoch) LockCtx(ctx context.Context) (WToken, error) {
 			for l.state.Load()&slimERCMask != 0 {
 				runtime.Gosched()
 			}
-			slimTable(l.ref).drainFor(slimOwner(l.ref))
+			slimArena.drainFor(int64(l.id))
 			return WToken{}, nil
 		}
 	}
@@ -582,8 +535,8 @@ func (l *SlimEpoch) LockCtx(ctx context.Context) (WToken, error) {
 // RLockCtx acquires read mode, aborting with ctx.Err() while a writer
 // holds the epoch odd; the fast path never waits.
 func (l *SlimEpoch) RLockCtx(ctx context.Context) (RToken, error) {
-	tbl := slimTable(l.ref)
-	id := slimOwner(l.ref)
+	tbl := slimArena
+	id := int64(l.id)
 	done := ctx.Done()
 	for {
 		s := l.state.Load()

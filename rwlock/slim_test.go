@@ -12,9 +12,9 @@ import (
 
 // The Slim variants' whole reason to exist is their size; everything
 // else about them is the BRAVO / epoch-parity protocols restated over
-// a shared arena.  These tests pin the size, the mutual exclusion
-// (under -race, which sees through the packed state word), the
-// shared-arena isolation between lock instances, and the Try/Ctx
+// the package's one reader arena.  These tests pin the size, the
+// mutual exclusion (under -race, which sees through the packed state
+// word), the arena isolation between lock instances, and the Try/Ctx
 // contracts' commitment points.
 
 // TestSlimSize pins the 16-byte footprint — the number the serving
@@ -77,16 +77,13 @@ func exerciseRW(t *testing.T, l RWLock) {
 func TestSlimBravoExclusion(t *testing.T) { exerciseRW(t, NewSlimBravo()) }
 func TestSlimEpochExclusion(t *testing.T) { exerciseRW(t, NewSlimEpoch()) }
 
-// TestSharedTableExclusion runs the same hammer over locks of every
-// shared-arena flavor CONCURRENTLY on one arena: exclusion must hold
-// per lock, with all their readers interleaved in the same slots.
+// TestSharedTableExclusion runs the same hammer over two instances of
+// each Slim build CONCURRENTLY on the package arena: exclusion must
+// hold per lock, with all their readers interleaved in the same slots.
 func TestSharedTableExclusion(t *testing.T) {
-	tbl := NewReaderTable(64)
 	locks := []RWLock{
-		NewSlimBravo(WithSharedReaderTable(tbl)),
-		NewSlimEpoch(WithSharedReaderTable(tbl)),
-		NewBravoMWSF(WithSharedReaderTable(tbl)),
-		NewEpochMWSF(WithSharedReaderTable(tbl)),
+		NewSlimBravo(), NewSlimBravo(),
+		NewSlimEpoch(), NewSlimEpoch(),
 	}
 	var wg sync.WaitGroup
 	for _, l := range locks {
@@ -99,21 +96,25 @@ func TestSharedTableExclusion(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSharedTableGOMAXPROCSChange: the arena's regions are fixed at
-// construction, so readers running at a different GOMAXPROCS claim
+// TestSharedTableGOMAXPROCSChange: a reader table's regions are fixed
+// at construction, so readers running at a different GOMAXPROCS claim
 // with P ids past the region count (1→4) or use only some regions
 // (8→2).  Exclusion must hold either way — every claim still lands in
-// a slot the revocation scan reads.  Not parallel: it sets GOMAXPROCS.
+// a slot the revocation scan reads.  Bravo(MWSF) builds its private
+// table at the first count, and that table runs the same claim and
+// scan code as the Slim arena.  The SlimBravo row runs on the package
+// arena, whose regions were fixed when the first Slim lock of the
+// process was built, so it sees P ids past the region count whenever
+// the run count exceeds that build's.  Not parallel: it sets
+// GOMAXPROCS.
 func TestSharedTableGOMAXPROCSChange(t *testing.T) {
 	for _, tc := range []struct{ built, run int }{{1, 4}, {8, 2}} {
 		t.Run(fmt.Sprintf("%d->%d", tc.built, tc.run), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(tc.built)
 			defer runtime.GOMAXPROCS(prev)
-			tbl := NewReaderTable(0)
 			locks := map[string]RWLock{
-				"SlimBravo":          NewSlimBravo(WithSharedReaderTable(tbl)),
-				"Bravo(MWSF)/shared": NewBravoMWSF(WithSharedReaderTable(tbl)),
-				"MWSF/epoch/shared":  NewEpochMWSF(WithSharedReaderTable(tbl)),
+				"SlimBravo":   NewSlimBravo(),
+				"Bravo(MWSF)": NewBravoMWSF(),
 			}
 			runtime.GOMAXPROCS(tc.run)
 			for name, l := range locks {
@@ -123,24 +124,22 @@ func TestSharedTableGOMAXPROCSChange(t *testing.T) {
 	}
 }
 
-// TestSharedTableWriterIsolation: a fast-path reader of lock A must
-// not delay a revoking writer of lock B sharing the same arena — B's
-// drain skips A's slots.  (The reverse — A's own writer waiting for
-// A's reader — is the ordinary drain, also checked.)
+// TestSharedTableWriterIsolation: a fast-path reader of Slim lock A
+// must not delay a revoking writer of Slim lock B, which shares the
+// package arena — B's drain skips A's slots.  (The reverse — A's own
+// writer waiting for A's reader — is the ordinary drain, also
+// checked.)
 func TestSharedTableWriterIsolation(t *testing.T) {
-	tbl := NewReaderTable(64)
 	for _, tc := range []struct {
 		name string
 		mk   func() RWLock
 	}{
-		{"SlimBravo", func() RWLock { return NewSlimBravo(WithSharedReaderTable(tbl)) }},
-		{"SlimEpoch", func() RWLock { return NewSlimEpoch(WithSharedReaderTable(tbl)) }},
-		{"Bravo/shared", func() RWLock { return NewBravoMWSF(WithSharedReaderTable(tbl)) }},
-		{"Epoch/shared", func() RWLock { return NewEpochMWSF(WithSharedReaderTable(tbl)) }},
+		{"SlimBravo", func() RWLock { return NewSlimBravo() }},
+		{"SlimEpoch", func() RWLock { return NewSlimEpoch() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			la, lb := tc.mk(), tc.mk()
-			rt := la.RLock() // fast claim in the shared arena (bias/epoch open)
+			rt := la.RLock() // fast claim in the arena (bias/epoch open)
 			// B's writer must complete despite A's live reader.
 			done := make(chan struct{})
 			go func() {
@@ -287,9 +286,8 @@ func TestSlimBravoRearm(t *testing.T) {
 	if l.ReadBiased() {
 		t.Fatal("bias armed immediately after revocation")
 	}
-	// Budget is 1 + Slots()/8 (+0 busy); spend it with slow passages.
-	tbl := slimTable(l.ref)
-	for i := 0; i < tbl.Slots()/8+2; i++ {
+	// Budget is 1 + slots/8 (+0 busy); spend it with slow passages.
+	for i := 0; i < len(slimArena.slots)/8+2; i++ {
 		rt := l.RLock()
 		l.RUnlock(rt)
 	}

@@ -67,8 +67,8 @@ const statsSampleEvery = 64
 //   - Batches/BatchMax/CombinedOps: the flat-combining arbitration.
 //   - Parks/Unparks: the waitCell layer — every cell owned by the
 //     lock (core gates, MCS nodes, Anderson slots, combiner records)
-//     counts actual goroutine parks.  Shared ReaderTable arena slots
-//     are excluded: they belong to every lock at once.
+//     counts actual goroutine parks.  Reader-table slots (Bravo's
+//     table, the Slim arena) are excluded.
 //
 // The Slim locks (NewSlimBravo/NewSlimEpoch) do NOT implement the
 // seam: their contract is a 16-byte footprint, and a stats pointer

@@ -25,56 +25,16 @@ type options struct {
 	// combining wraps the selected writer arbitration in the
 	// flat-combining layer.  See WithCombiningWriters in combiner.go.
 	combining bool
-	// sharedTable, when non-nil, puts the constructed lock's reader
-	// fast path on a shared visible-readers arena instead of private
-	// per-lock state.  See WithSharedReaderTable in readerslots.go
-	// and the footprint discussion there.
-	sharedTable *ReaderTable
 	// stats, when non-nil, is the lock's observability counter block.
 	// See WithStats in stats.go; every instrumented site nil-checks
 	// this pointer, so the default (nil) path is unchanged.
 	stats *LockStats
 }
 
-// WithSharedReaderTable makes the constructed lock publish its
-// fast-path readers in tbl — a ReaderTable arena shared by any number
-// of locks — instead of allocating private per-lock reader state: the
-// BRAVO paper's global-table design.  The per-lock footprint of the
-// reader fast path drops from O(GOMAXPROCS) cache lines to one
-// integer owner id, which is what makes 10^5-10^6 lock instances (a
-// sharded map's stripe grid) affordable.  The trades:
-//
-//   - Fast-path readers of all the locks sharing the arena compete
-//     for its slots.  A reader claims in its P's region of the arena,
-//     on one of 3 slots hashed from its lock, so at most 3 readers of
-//     one lock per P are on the fast path at once (the rest take the
-//     slow path), and locks whose slots collide push each other's
-//     readers onto the slow path.  A revoking writer reads only those
-//     candidate slots in every region — regions × 3 loads, whatever
-//     the arena size — and waits only on its own lock's readers.
-//   - On Epoch, fast-path readers claim an arena slot with a CAS
-//     instead of stamping a leased private slot with a plain store —
-//     the shared deployment gives up the zero-RMW read passage and
-//     costs exactly what Bravo's fast path does.  Grace waits scan
-//     the lock's candidate slots like Bravo's revocations.
-//
-// Pass DefaultReaderTable() unless you need your own sizing.  The
-// option is ignored by constructors without a reader fast path (the
-// inner-lock constructors), mirroring the other layer-specific
-// options.  tbl must not be nil.
-func WithSharedReaderTable(tbl *ReaderTable) Option {
-	if tbl == nil {
-		panic("rwlock: WithSharedReaderTable needs a non-nil table")
-	}
-	return func(o *options) { o.sharedTable = tbl }
-}
-
 // applyOptions keeps the zero-options path escape-free: passing &o to
-// the opaque option funcs forces o to the heap, a 48-byte charge that
-// would quadruple the footprint of every optionless Slim construction
-// (the 10^6-instance grids build their locks exactly that way).  The
-// split keeps the escape confined to callers that actually pass
-// options.
+// the opaque option funcs forces o to the heap, a charge every
+// optionless construction would otherwise pay.  The split keeps the
+// escape confined to callers that actually pass options.
 func applyOptions(opts []Option) options {
 	if len(opts) == 0 {
 		return options{}

@@ -8,10 +8,10 @@
 // scales with the stripe count, and a hot key's writer storms stay
 // confined to that key's stripe.  The per-stripe locks come from a
 // caller-supplied factory (WithLockFactory) — any lock in the rwlock
-// registry works — and default to rwlock.SlimBravo on the package's
-// shared reader table, the 16-byte-per-instance build that makes
-// 10^5–10^6-stripe grids affordable (see rwlock.WithSharedReaderTable
-// for the trade).
+// registry works — and default to rwlock.SlimBravo, the
+// 16-byte-per-instance build that publishes its readers in the rwlock
+// package's one reader arena and makes 10^5–10^6-stripe grids
+// affordable (see rwlock.SlimBravo for the trade).
 //
 // Writes go through the lock's closure write path (rwlock.Write) when
 // the stripe lock flat-combines, so such a stripe batches its
@@ -67,8 +67,8 @@ func WithStripes(n int) Option {
 // WithLockFactory sets the constructor used for every stripe's lock.
 // The factory runs once per stripe at New time; at large stripe
 // counts prefer constructors whose per-instance footprint is small
-// (rwlock.NewSlimBravo, rwlock.NewSlimEpoch — 16 bytes each on a
-// shared reader table) over the full wrappers (kilobytes each).
+// (rwlock.NewSlimBravo, rwlock.NewSlimEpoch — 16 bytes each on the
+// package's reader arena) over the full wrappers (kilobytes each).
 func WithLockFactory(f func() rwlock.RWLock) Option {
 	if f == nil {
 		panic("rwmap: WithLockFactory needs a non-nil factory")
@@ -159,8 +159,7 @@ type Map[K comparable, V any] struct {
 const defaultStripes = 64
 
 // New constructs a Map.  The default configuration is 64 stripes,
-// each guarded by a rwlock.SlimBravo on the package-default shared
-// reader table.
+// each guarded by a rwlock.SlimBravo.
 func New[K comparable, V any](opts ...Option) *Map[K, V] {
 	cfg := config{
 		stripes: defaultStripes,

@@ -201,15 +201,14 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 }
 
 // mapFactories is the lock-factory matrix the concurrency tests run
-// over: the slim default, both full fast-path wrappers (one on a
-// shared arena), a flat-combining lock (Update batches through its
-// closure path), and the plain paper lock.
+// over: the slim default, both full fast-path wrappers, a
+// flat-combining lock (Update batches through its closure path), and
+// the plain paper lock.
 func mapFactories() map[string]Option {
-	shared := rwlock.NewReaderTable(64)
 	return map[string]Option{
 		"SlimBravo-default": WithLockFactory(func() rwlock.RWLock { return rwlock.NewSlimBravo() }),
 		"SlimEpoch":         WithLockFactory(func() rwlock.RWLock { return rwlock.NewSlimEpoch() }),
-		"Bravo-shared":      WithLockFactory(func() rwlock.RWLock { return rwlock.NewBravoMWSF(rwlock.WithSharedReaderTable(shared)) }),
+		"Bravo":             WithLockFactory(func() rwlock.RWLock { return rwlock.NewBravoMWSF() }),
 		"Epoch":             WithLockFactory(func() rwlock.RWLock { return rwlock.NewEpochMWSF() }),
 		"MWSF-combine":      WithLockFactory(func() rwlock.RWLock { return rwlock.NewMWSF(rwlock.WithCombiningWriters()) }),
 		"MWSF":              WithLockFactory(func() rwlock.RWLock { return rwlock.NewMWSF() }),
