@@ -47,26 +47,24 @@ func TestRunListErrorsNameTheFlag(t *testing.T) {
 
 func TestRunQuick(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "2"}, &b); err != nil {
+	if err := run([]string{"-quick", "-ops", "200", "-scenario", "age-frontier,zipf-grid"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "E7: native throughput") {
-		t.Fatalf("missing E7:\n%s", out)
+	if !strings.Contains(out, "age-memory frontier") {
+		t.Fatalf("missing age-frontier table:\n%s", out)
 	}
-	if !strings.Contains(out, "E8:") {
-		t.Fatalf("missing E8:\n%s", out)
+	if !strings.Contains(out, "serving tier") {
+		t.Fatalf("missing zipf-grid table:\n%s", out)
 	}
 	if !strings.Contains(out, "sync.RWMutex") {
-		t.Fatalf("missing baseline column:\n%s", out)
+		t.Fatalf("missing baseline row:\n%s", out)
 	}
 }
 
 func TestRunMarkdownOutput(t *testing.T) {
 	var b strings.Builder
-	// Two workers: -workers reaches the default pair's priority storm
-	// too, which needs a writer and a reader.
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-markdown"}, &b); err != nil {
+	if err := run([]string{"-quick", "-ops", "200", "-scenario", "age-frontier", "-markdown"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "| workers | read% |") {
@@ -81,34 +79,53 @@ func TestRunBadWorkers(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadGridBeforeRunning: a worker grid that a later
-// scenario of the selection cannot host (the priority storm needs a
-// writer and a reader) fails the run before any scenario has run, so
-// nothing is printed and no finished measurement is thrown away.
+// TestRunRejectsBadGridBeforeRunning: a grid that a later scenario of
+// the selection cannot run (zipf-grid with a zero stripe count) fails
+// the run before any scenario has run, so nothing is printed and no
+// finished measurement is thrown away.
 func TestRunRejectsBadGridBeforeRunning(t *testing.T) {
 	var b strings.Builder
-	err := run([]string{"-quick", "-ops", "50", "-workers", "1"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "scenario priority: 1 workers cannot host") {
-		t.Fatalf("err = %v, want the priority storm's rejection", err)
+	err := run([]string{"-quick", "-scenario", "age-frontier,zipf-grid", "-stripes", "0"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "scenario zipf-grid: stripe count 0") {
+		t.Fatalf("err = %v, want zipf-grid's stripe-count rejection", err)
 	}
 	if b.Len() != 0 {
 		t.Fatalf("printed %d bytes before failing:\n%s", b.Len(), b.String())
 	}
 }
 
+// TestRunRequiresScenario: there is no default selection, so a bare
+// run fails with the list of scenario names and prints nothing.
+func TestRunRequiresScenario(t *testing.T) {
+	var b strings.Builder
+	err := run(nil, &b)
+	if err == nil || !strings.Contains(err.Error(), "selects nothing") {
+		t.Fatalf("bare run: err = %v, want the empty-selection rejection", err)
+	}
+	for _, name := range harness.ScenarioNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("bare-run error does not list %s: %v", name, err)
+		}
+	}
+	if b.Len() != 0 {
+		t.Fatalf("bare run printed %d bytes:\n%s", b.Len(), b.String())
+	}
+}
+
 func TestRunLocksSubset(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",
+	if err := run([]string{"-quick", "-ops", "200", "-scenario", "age-frontier",
 		"-locks", "MWSF,Bravo(MWSF),sync.RWMutex"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, name := range []string{"MWSF", "Bravo(MWSF)", "sync.RWMutex"} {
-		if !strings.Contains(out, name) {
+		if !hasRow(out, name) {
 			t.Fatalf("missing selected lock %s:\n%s", name, out)
 		}
 	}
-	if strings.Contains(out, "TaskFairRW") {
+	// The scenario's own MWSF/epoch row is narrowed away.
+	if hasRow(out, "MWSF/epoch") {
 		t.Fatalf("unselected lock leaked into the sweep:\n%s", out)
 	}
 }
@@ -143,7 +160,7 @@ func hasRow(out, name string) bool {
 
 func TestRunEpochVariantSelectable(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",
+	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-scenario", "age-frontier",
 		"-locks", "MWSF,MWSF/epoch"}, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +173,7 @@ func TestRunEpochVariantSelectable(t *testing.T) {
 
 func TestRunBoundedVariantSelectable(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",
+	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-scenario", "age-frontier",
 		"-locks", "MWSF,MWSF/bounded"}, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +190,7 @@ func TestRunScenarioWriterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"writer churn", "wr wait p99", "batch p99"} {
+	for _, want := range []string{"writer churn", "wr wait p99", "batch p50", "batch p99", "batch max"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("writer-churn output missing %q:\n%s", want, out)
 		}
@@ -187,7 +204,7 @@ func TestRunScenarioWriterChurn(t *testing.T) {
 
 func TestRunCombineVariantSelectable(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "2",
+	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-scenario", "age-frontier",
 		"-locks", "MWSF,MWSF/combine"}, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -198,22 +215,35 @@ func TestRunCombineVariantSelectable(t *testing.T) {
 	}
 }
 
+// TestRunScenarioCombineBatch: the combiner's batch-size columns ride
+// on writer-churn, filled on the MWSF/combine row and "-" elsewhere.
 func TestRunScenarioCombineBatch(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "32", "-scenario", "combine-batch"}, &b); err != nil {
+	if err := run([]string{"-quick", "-ops", "32", "-scenario", "writer-churn",
+		"-locks", "MWSF,MWSF/combine"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"flat-combining batches",
-		"batch p50", "batch p99", "batch max", "age p50"} {
+	for _, want := range []string{"batch p50", "batch p99", "batch max"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("combine-batch output missing %q:\n%s", want, out)
+			t.Fatalf("writer-churn output missing %q:\n%s", want, out)
 		}
 	}
-	for _, name := range harness.ChurnLockNames() {
-		if !hasRow(out, name) {
-			t.Fatalf("combine-batch output missing row %s:\n%s", name, out)
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || (f[0] != "MWSF" && f[0] != "MWSF/combine") {
+			continue
 		}
+		rows++
+		// The three batch columns close the row.
+		batchMax := f[len(f)-1]
+		if combine := f[0] == "MWSF/combine"; combine == (batchMax == "-") {
+			t.Fatalf("row %s: batch max %q", f[0], batchMax)
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("found %d of the 2 rows:\n%s", rows, out)
 	}
 }
 
@@ -229,7 +259,7 @@ func TestRunRejectsEmptySelections(t *testing.T) {
 	}
 	err = run([]string{"-scenario", ","}, &b)
 	if err == nil || !strings.Contains(err.Error(), "selects nothing") ||
-		!strings.Contains(err.Error(), "combine-batch") {
+		!strings.Contains(err.Error(), "writer-churn") {
 		t.Fatalf("empty -scenario error = %v, want rejection listing the scenarios", err)
 	}
 }
@@ -237,6 +267,7 @@ func TestRunRejectsEmptySelections(t *testing.T) {
 func TestRunJSONOutput(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-json",
+		"-scenario", "zipf-grid,age-frontier",
 		"-locks", "MWSF,Bravo(MWSF),sync.RWMutex"}, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +275,12 @@ func TestRunJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, b.String())
 	}
-	if rep.GOMAXPROCS <= 0 || len(rep.Scenarios) != 2 {
+	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 || len(rep.Scenarios) != 2 {
 		t.Fatalf("metadata or scenarios missing: %+v", rep)
 	}
-	// The default selection is the throughput+priority pair, each with
-	// the narrowed lock set and worker grid applied.
-	for i, want := range []string{"throughput", "priority"} {
+	// Registration order, each with the narrowed lock set and worker
+	// grid applied.
+	for i, want := range []string{"age-frontier", "zipf-grid"} {
 		sr := rep.Scenarios[i]
 		if sr.Scenario.Name != want {
 			t.Fatalf("scenario %d = %s, want %s", i, sr.Scenario.Name, want)
@@ -272,29 +303,48 @@ func TestRunJSONOutput(t *testing.T) {
 
 func TestRunScenarioSelection(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-scenario", "latency-grid,starvation",
+	if err := run([]string{"-quick", "-scenario", "age-frontier,rmr-dsm",
 		"-locks", "MWSF,MWRP"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"latency grid", "starvation", "rd wait p99.9", "MWRP"} {
+	for _, want := range []string{"age-memory frontier", "E9:", "rd wait p99.9", "MWRP"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("scenario output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "E7: native throughput") {
-		t.Fatalf("-scenario must replace the default pair:\n%s", out)
+	// Registration order, and nothing but the selection.
+	if strings.Index(out, "E9:") > strings.Index(out, "age-memory frontier") {
+		t.Fatalf("scenarios out of registration order:\n%s", out)
+	}
+	if strings.Contains(out, "writer churn") || strings.Contains(out, "serving tier") {
+		t.Fatalf("unselected scenario ran:\n%s", out)
 	}
 }
 
 // TestRunScenarioRejectsOversubFlag: the oversubscription experiment
-// is the "oversub" scenario, and -oversub is refused as an unknown
-// flag rather than silently ignored.
+// is the Go benchmark BenchmarkOversubscribed, and -oversub is refused
+// as an unknown flag rather than silently ignored.
 func TestRunScenarioRejectsOversubFlag(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-scenario", "throughput", "-oversub"}, &b); err == nil ||
+	if err := run([]string{"-scenario", "writer-churn", "-oversub"}, &b); err == nil ||
 		!strings.Contains(err.Error(), "oversub") {
 		t.Fatalf("-oversub must be rejected, got %v", err)
+	}
+}
+
+// TestValidateFlagOnFile: rwbench keeps no records to validate, so
+// -validate on a report file is refused as an unknown flag rather than
+// silently running nothing.
+func TestValidateFlagOnFile(t *testing.T) {
+	path := t.TempDir() + "/rep.json"
+	if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := run([]string{"-validate", path}, &b); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -validate") {
+		t.Fatalf("-validate must be rejected as an unknown flag, got %v", err)
 	}
 }
 
@@ -304,14 +354,14 @@ func TestRunScenarioRejectsInapplicableOverrides(t *testing.T) {
 		!strings.Contains(err.Error(), "-locks") {
 		t.Fatalf("-locks on a sim-only selection must be rejected, got %v", err)
 	}
-	if err := run([]string{"-scenario", "oversub", "-ops", "100"}, &b); err == nil ||
+	if err := run([]string{"-scenario", "rmr,rmr-dsm", "-ops", "100"}, &b); err == nil ||
 		!strings.Contains(err.Error(), "-ops") {
-		t.Fatalf("-ops on a deadline-only selection must be rejected, got %v", err)
+		t.Fatalf("-ops on a sim-only selection must be rejected, got %v", err)
 	}
 	// But a mixed selection accepts them (they apply somewhere).
-	if err := run([]string{"-quick", "-scenario", "starvation,rmr-dsm",
-		"-locks", "MWSF"}, &b); err != nil {
-		t.Fatalf("override applying to one of two scenarios rejected: %v", err)
+	if err := run([]string{"-quick", "-scenario", "age-frontier,rmr-dsm",
+		"-locks", "MWSF", "-ops", "100"}, &b); err != nil {
+		t.Fatalf("overrides applying to one of two scenarios rejected: %v", err)
 	}
 }
 
@@ -327,35 +377,25 @@ func TestRunScenarioAllJSONValidates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario")
 	}
-	var b strings.Builder
-	if err := run([]string{"-quick", "-json", "-scenario", "all"}, &b); err != nil {
-		t.Fatal(err)
+	rep := runJSON(t, "-quick", "-scenario", "all")
+	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 {
+		t.Fatalf("run metadata missing: gomaxprocs=%d numcpu=%d", rep.GOMAXPROCS, rep.NumCPU)
 	}
-	if err := validateReport([]byte(b.String())); err != nil {
-		t.Fatalf("fresh -scenario all emission fails validation: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.SchemaVersion != schemaVersion {
-		t.Fatalf("schema_version = %d, want %d", rep.SchemaVersion, schemaVersion)
-	}
-	names := map[string]bool{}
+	var names []string
 	for _, sr := range rep.Scenarios {
-		names[sr.Scenario.Name] = true
-	}
-	for _, want := range []string{"throughput", "priority", "oversub", "rmr",
-		"bursty-writers", "starvation", "writer-churn", "latency-grid"} {
-		if !names[want] {
-			t.Fatalf("-scenario all missing %s (got %v)", want, names)
+		names = append(names, sr.Scenario.Name)
+		if len(sr.Points) == 0 || sr.GOMAXPROCS <= 0 {
+			t.Errorf("scenario %s: %d points at gomaxprocs %d", sr.Scenario.Name, len(sr.Points), sr.GOMAXPROCS)
 		}
+	}
+	if want := harness.ScenarioNames(); !slices.Equal(names, want) {
+		t.Fatalf("-scenario all ran %v, want %v", names, want)
 	}
 }
 
 func TestRunScenarioMarkdownHasLatencyColumns(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-quick", "-markdown", "-scenario", "bursty-writers",
+	if err := run([]string{"-quick", "-ops", "400", "-markdown", "-scenario", "age-frontier",
 		"-locks", "MWWP"}, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -363,66 +403,6 @@ func TestRunScenarioMarkdownHasLatencyColumns(t *testing.T) {
 	if !strings.Contains(out, "| lock |") ||
 		!strings.Contains(out, "wr wait p99.9") || !strings.Contains(out, "age p99") {
 		t.Fatalf("markdown scenario table missing latency/age columns:\n%s", out)
-	}
-}
-
-func TestValidateRejectsBadSchema(t *testing.T) {
-	for name, raw := range map[string]string{
-		"missing version": `{"gomaxprocs":1,"numcpu":1,"seed":1}`,
-		"future version":  `{"schema_version":99,"gomaxprocs":1,"numcpu":1,"seed":1}`,
-		"old version":     `{"schema_version":1,"gomaxprocs":1,"numcpu":1,"seed":1}`,
-		"unknown field":   `{"schema_version":2,"gomaxprocs":1,"numcpu":1,"seed":1,"throughput":[{"lock":"MWSF","workers":1,"read_fraction":0.9,"ops_per_sec":1}],"wat":true}`,
-		"empty report":    `{"schema_version":2,"gomaxprocs":1,"numcpu":1,"seed":1}`,
-		"not json":        `]`,
-	} {
-		if err := validateReport([]byte(raw)); err == nil {
-			t.Errorf("%s: validator accepted %s", name, raw)
-		}
-	}
-}
-
-// scenarioReport wraps one scenario's points in a minimal schema-2
-// report, for validator tests that need full control of the fields.
-func scenarioReport(scenario, points string) string {
-	return `{"schema_version":2,"gomaxprocs":1,"numcpu":1,"seed":1,` +
-		`"scenarios":[{"scenario":` + scenario +
-		`,"seed":1,"gomaxprocs":1,"points":[` + points + `]}]}`
-}
-
-func TestValidateRetainedMemoryFields(t *testing.T) {
-	const epochScenario = `{"name":"age-frontier","title":"t","cs_work":0,"think_work":0,"version_bytes":1024}`
-	const bareScenario = `{"name":"throughput","title":"t","cs_work":0,"think_work":0}`
-	good := `{"lock":"MWSF/epoch","workers":8,"read_fraction":0.95,"ops_per_sec":1,` +
-		`"epoch_advances":10,"grace_waits":5,"retired_versions":40,` +
-		`"reclaimed_versions":30,"retained_versions_max":12,"retained_bytes_max":12288}`
-	if err := validateReport([]byte(scenarioReport(epochScenario, good))); err != nil {
-		t.Fatalf("consistent retained-memory point rejected: %v", err)
-	}
-	for name, point := range map[string]string{
-		"reclaimed exceeds retired": `{"lock":"MWSF/epoch","workers":8,"ops_per_sec":1,` +
-			`"epoch_advances":10,"grace_waits":5,"retired_versions":4,"reclaimed_versions":5,"retained_versions_max":4}`,
-		"high-water below residue": `{"lock":"MWSF/epoch","workers":8,"ops_per_sec":1,` +
-			`"epoch_advances":10,"grace_waits":5,"retired_versions":40,"reclaimed_versions":10,"retained_versions_max":5}`,
-		"retired without grace waits": `{"lock":"MWSF/epoch","workers":8,"ops_per_sec":1,` +
-			`"retired_versions":4,"retained_versions_max":4}`,
-	} {
-		if err := validateReport([]byte(scenarioReport(epochScenario, point))); err == nil {
-			t.Errorf("%s: validator accepted %s", name, point)
-		}
-	}
-	// Retained counters on a scenario that never installed versions
-	// are bookkeeping corruption, not a measurement.
-	stray := `{"lock":"MWSF/epoch","workers":8,"ops_per_sec":1,` +
-		`"epoch_advances":10,"grace_waits":5,"retired_versions":4,"retained_versions_max":4}`
-	if err := validateReport([]byte(scenarioReport(bareScenario, stray))); err == nil {
-		t.Error("validator accepted retained counters without version_bytes")
-	}
-	// Epoch advances alone (an /epoch lock swept without versioned
-	// writes) are legitimate on any scenario.
-	advancesOnly := `{"lock":"MWSF/epoch","workers":8,"ops_per_sec":1,` +
-		`"epoch_advances":10,"grace_waits":5}`
-	if err := validateReport([]byte(scenarioReport(bareScenario, advancesOnly))); err != nil {
-		t.Errorf("epoch counters without retirement rejected: %v", err)
 	}
 }
 
@@ -440,69 +420,43 @@ func TestRunScenarioAgeFrontier(t *testing.T) {
 		}
 	}
 	for _, lock := range []string{"MWSF", "Bravo(MWSF)", "MWSF/epoch"} {
-		if !strings.Contains(out, lock) {
+		if !hasRow(out, lock) {
 			t.Errorf("age-frontier table missing %q row:\n%s", lock, out)
 		}
 	}
-	// And the JSON emission must validate, retained fields included.
-	var j strings.Builder
-	if err := run([]string{"-quick", "-ops", "400", "-json", "-scenario", "age-frontier"}, &j); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateReport([]byte(j.String())); err != nil {
-		t.Fatalf("age-frontier JSON report invalid: %v", err)
-	}
-	if !strings.Contains(j.String(), "retained_versions_max") {
-		t.Fatalf("age-frontier JSON carries no retained-memory fields:\n%s", j.String())
-	}
 }
 
-func TestValidateFlagOnFile(t *testing.T) {
+// runJSON runs rwbench with -json appended and decodes the output.
+func runJSON(t *testing.T, args ...string) report {
+	t.Helper()
 	var b strings.Builder
-	if err := run([]string{"-quick", "-json", "-scenario", "starvation",
-		"-locks", "MWSF"}, &b); err != nil {
+	if err := run(append(args, "-json"), &b); err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/rep.json"
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
+	var rep report
+	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
+		t.Fatalf("-json output is not valid JSON: %v\n%s", err, b.String())
 	}
-	var out strings.Builder
-	if err := run([]string{"-validate", path}, &out); err != nil {
-		t.Fatalf("validating a fresh report failed: %v", err)
-	}
-	if !strings.Contains(out.String(), "valid") {
-		t.Fatalf("no confirmation: %s", out.String())
-	}
-	if err := run([]string{"-validate", t.TempDir() + "/nope.json"}, &out); err == nil {
-		t.Fatal("missing file not rejected")
-	}
+	return rep
 }
 
-// TestLegacyJSONCarriesSchemaVersion: an emission of the default
-// selection (no -scenario) carries the schema version and validates.
-func TestLegacyJSONCarriesSchemaVersion(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-json",
-		"-locks", "MWSF"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateReport([]byte(b.String())); err != nil {
-		t.Fatalf("default-selection emission fails validation: %v", err)
-	}
-}
-
-func TestRunOversubTable(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-quick", "-scenario", "oversub", "-workers", "8",
-		"-locks", "MWSF,sync.RWMutex"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "E12: oversubscribed throughput") {
-		t.Fatalf("missing oversubscribed table:\n%s", b.String())
-	}
-	if !strings.Contains(b.String(), "GOMAXPROCS=2") {
-		t.Fatalf("oversub sweep did not pin GOMAXPROCS:\n%s", b.String())
+// TestValidateRetainedMemoryFields: the age-frontier output carries
+// the epoch row's retained-memory fields, consistent with each other,
+// and no such fields on the rows without an epoch layer.
+func TestValidateRetainedMemoryFields(t *testing.T) {
+	rep := runJSON(t, "-quick", "-ops", "400", "-scenario", "age-frontier")
+	for _, p := range rep.Scenarios[0].Points {
+		if p.Lock != "MWSF/epoch" {
+			if p.RetiredVersions != 0 || p.RetainedVersionsMax != 0 || p.RetainedBytesMax != 0 {
+				t.Errorf("%s: retained-memory fields without an epoch layer: %+v", p.Lock, p)
+			}
+			continue
+		}
+		if p.RetiredVersions <= 0 || p.ReclaimedVersions > p.RetiredVersions ||
+			p.RetainedVersionsMax < p.RetiredVersions-p.ReclaimedVersions ||
+			p.RetainedBytesMax < 1024 || p.GraceWaits <= 0 || p.EpochAdvances <= 0 {
+			t.Errorf("%s: inconsistent retained-memory fields: %+v", p.Lock, p)
+		}
 	}
 }
 
@@ -564,9 +518,6 @@ func TestRunScenarioZipfGridJSONValidates(t *testing.T) {
 		"-stripes", "8", "-skew", "1.07", "-locks", "SlimEpoch"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	if err := validateReport([]byte(b.String())); err != nil {
-		t.Fatalf("fresh zipf-grid emission fails validation: %v", err)
-	}
 	for _, field := range []string{`"stripes"`, `"zipf_s"`, `"bytes_per_lock"`, `"hot_read_ops"`} {
 		if !strings.Contains(b.String(), field) {
 			t.Fatalf("zipf-grid JSON missing %s:\n%s", field, b.String())
@@ -576,13 +527,13 @@ func TestRunScenarioZipfGridJSONValidates(t *testing.T) {
 
 // TestRunRejectsShardedOverridesElsewhere: -stripes/-skew must be
 // rejected — naming the sharded scenarios — when the selection has no
-// stripe axis (an explicit flat one, or the default pair) and when the
-// value parses to nothing.
+// stripe axis (a flat or a simulator scenario) and when the value
+// parses to nothing.
 func TestRunRejectsShardedOverridesElsewhere(t *testing.T) {
 	var b strings.Builder
 	for name, args := range map[string][]string{
-		"flat scenario": {"-scenario", "latency-grid", "-stripes", "4"},
-		"default pair":  {"-skew", "1.07"},
+		"flat scenario":      {"-scenario", "age-frontier", "-stripes", "4"},
+		"simulator scenario": {"-scenario", "rmr", "-skew", "1.07"},
 	} {
 		err := run(args, &b)
 		if err == nil || !strings.Contains(err.Error(), "zipf-grid") {
@@ -599,126 +550,59 @@ func TestRunRejectsShardedOverridesElsewhere(t *testing.T) {
 	}
 }
 
+// TestValidateShardedFields: in the output, every zipf-grid point
+// carries its stripe count, skew, footprint and a hot-key read count
+// within its reads, and the flat age-frontier points carry none.
 func TestValidateShardedFields(t *testing.T) {
-	const shardedScenario = `{"name":"zipf-grid","title":"t","cs_work":0,"think_work":0,"stripes":[4],"zipf_s":[1.07]}`
-	const flatScenario = `{"name":"throughput","title":"t","cs_work":0,"think_work":0}`
-	good := `{"lock":"SlimBravo","workers":8,"read_fraction":0.9,"ops_per_sec":1,` +
-		`"read_ops":90,"write_ops":10,"stripes":4,"zipf_s":1.07,"bytes_per_lock":16,"hot_read_ops":40}`
-	if err := validateReport([]byte(scenarioReport(shardedScenario, good))); err != nil {
-		t.Fatalf("consistent sharded point rejected: %v", err)
-	}
-	for name, point := range map[string]string{
-		"missing stripes": `{"lock":"SlimBravo","workers":8,"ops_per_sec":1,` +
-			`"read_ops":90,"zipf_s":1.07,"bytes_per_lock":16}`,
-		"missing bytes_per_lock": `{"lock":"SlimBravo","workers":8,"ops_per_sec":1,` +
-			`"read_ops":90,"stripes":4,"zipf_s":1.07}`,
-		"hot reads exceed reads": `{"lock":"SlimBravo","workers":8,"ops_per_sec":1,` +
-			`"read_ops":90,"stripes":4,"zipf_s":1.07,"bytes_per_lock":16,"hot_read_ops":91}`,
-	} {
-		if err := validateReport([]byte(scenarioReport(shardedScenario, point))); err == nil {
-			t.Errorf("%s: validator accepted %s", name, point)
+	rep := runJSON(t, "-quick", "-ops", "200", "-scenario", "age-frontier,zipf-grid",
+		"-stripes", "8", "-locks", "SlimBravo,sync.RWMutex")
+	for _, sr := range rep.Scenarios {
+		sharded := len(sr.Scenario.Stripes) > 0
+		for _, p := range sr.Points {
+			switch {
+			case sharded && (p.Stripes != 8 || p.ZipfS != 1.07 || p.BytesPerLock <= 0 ||
+				p.HotReadOps < 0 || p.HotReadOps > p.ReadOps):
+				t.Errorf("%s %s: bad sharded fields %+v", sr.Scenario.Name, p.Lock, p)
+			case !sharded && (p.Stripes != 0 || p.ZipfS != 0 || p.BytesPerLock != 0 || p.HotReadOps != 0):
+				t.Errorf("%s %s: sharded fields without a stripe axis %+v", sr.Scenario.Name, p.Lock, p)
+			}
 		}
 	}
-	stray := `{"lock":"MWSF","workers":8,"ops_per_sec":1,"stripes":4,"bytes_per_lock":16}`
-	if err := validateReport([]byte(scenarioReport(flatScenario, stray))); err == nil {
-		t.Error("validator accepted sharded columns on a flat scenario")
-	}
 }
 
-func TestRunOversubDefaultLocks(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-quick", "-workers", "8", "-json", "-scenario", "oversub"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Scenarios) != 1 {
-		t.Fatalf("got %d scenarios, want 1", len(rep.Scenarios))
-	}
-	// Without -locks, the oversub scenario must use its own set, not
-	// the E7 default.
-	sr := rep.Scenarios[0]
-	if want := harness.OversubLockNames(); !slices.Equal(sr.Scenario.Locks, want) {
-		t.Fatalf("default oversub locks = %v, want %v", sr.Scenario.Locks, want)
-	}
-	if sr.GOMAXPROCS != 2 {
-		t.Fatalf("oversub GOMAXPROCS = %d, want pinned 2", sr.GOMAXPROCS)
-	}
-}
-
-// metricsReport wraps one scenario's points in a minimal schema-2
-// report whose scenario result is flagged as a -metrics run.
-func metricsReport(scenario, points string) string {
-	return `{"schema_version":2,"gomaxprocs":1,"numcpu":1,"seed":1,` +
-		`"scenarios":[{"scenario":` + scenario +
-		`,"seed":1,"gomaxprocs":1,"metrics":true,"points":[` + points + `]}]}`
-}
-
+// TestValidateCounterFields: in the output of a -metrics run, every
+// native point carries a counter block whose acquires and context
+// sheds tie to the point's own op counts, or an all-zero block on a
+// row outside the stats seam, and the simulator points carry none.
 func TestValidateCounterFields(t *testing.T) {
-	const flat = `{"name":"throughput","title":"t","cs_work":0,"think_work":0}`
-	const base = `"lock":"MWSF","workers":4,"read_fraction":0.9,"ops_per_sec":1,"read_ops":90,"write_ops":10`
-	good := `{` + base + `,"counters":{"read_acquires":90,"write_acquires":10,"read_contended":5}}`
-	if err := validateReport([]byte(metricsReport(flat, good))); err != nil {
-		t.Fatalf("consistent counter point rejected: %v", err)
-	}
-	// A row outside the stats seam (Slim, baselines, sync.RWMutex)
-	// legitimately reports an all-zero block on a metrics run.
-	zero := `{` + base + `,"counters":{}}`
-	if err := validateReport([]byte(metricsReport(flat, zero))); err != nil {
-		t.Fatalf("all-zero counter block rejected: %v", err)
-	}
-	for name, rep := range map[string]string{
-		"metrics run without counters": metricsReport(flat, `{`+base+`}`),
-		"counters without metrics":     scenarioReport(flat, good),
-		"read acquires disagree with ops": metricsReport(flat,
-			`{`+base+`,"counters":{"read_acquires":80,"write_acquires":10}}`),
-		"write acquires disagree with ops": metricsReport(flat,
-			`{`+base+`,"counters":{"read_acquires":90,"write_acquires":11}}`),
-		"sheds disagree with ops": metricsReport(flat,
-			`{`+base+`,"counters":{"read_acquires":90,"write_acquires":10,"ctx_sheds":3}}`),
-		"incoherent block": metricsReport(flat,
-			`{`+base+`,"counters":{"read_acquires":90,"write_acquires":10,"read_contended":91}}`),
-	} {
-		if err := validateReport([]byte(rep)); err == nil {
-			t.Errorf("%s: validator accepted the report", name)
+	rep := runJSON(t, "-quick", "-ops", "16", "-metrics", "-scenario", "rmr-dsm,writer-shed")
+	for _, sr := range rep.Scenarios {
+		for _, p := range sr.Points {
+			c := p.Counters
+			switch {
+			case sr.Scenario.Sim != nil:
+				if c != nil {
+					t.Errorf("%s: counters on a simulator point", sr.Scenario.Name)
+				}
+			case c == nil:
+				t.Errorf("%s %s: no counters on a -metrics run", sr.Scenario.Name, p.Lock)
+			case p.Lock == "sync.RWMutex":
+				if c.WriteAcquires != 0 || c.CtxSheds != 0 {
+					t.Errorf("%s: counted outside the stats seam: %+v", p.Lock, c)
+				}
+			case int64(c.WriteAcquires) != p.WriteOps || int64(c.CtxSheds) != p.ShedOps ||
+				int64(c.ReadAcquires) != p.ReadOps:
+				t.Errorf("%s: counters %d/%d/%d for %d reads, %d writes, %d sheds",
+					p.Lock, c.ReadAcquires, c.WriteAcquires, c.CtxSheds, p.ReadOps, p.WriteOps, p.ShedOps)
+			}
 		}
-	}
-	// The counter block and the point's epoch columns are two
-	// bookkeepers of one history; a disagreement is corruption.
-	const epochScenario = `{"name":"age-frontier","title":"t","cs_work":0,"think_work":0,"version_bytes":1024}`
-	mirrorBad := `{"lock":"MWSF/epoch","workers":8,"ops_per_sec":1,"read_ops":90,"write_ops":10,` +
-		`"epoch_advances":10,"grace_waits":5,"retired_versions":40,` +
-		`"reclaimed_versions":30,"retained_versions_max":12,` +
-		`"counters":{"read_acquires":90,"write_acquires":10,"retired_versions":39,"reclaimed_versions":30}}`
-	if err := validateReport([]byte(metricsReport(epochScenario, mirrorBad))); err == nil {
-		t.Error("validator accepted counter reclamation disagreeing with the epoch columns")
-	}
-	// Counters never ride on simulator points.
-	const simScenario = `{"name":"rmr","title":"t","cs_work":0,"think_work":0,` +
-		`"sim":{"systems":["mwsf"],"attempts":1}}`
-	simPoint := `{"system":"mwsf","writers":1,"readers":1,` +
-		`"reader_rmr":{},"writer_rmr":{},"counters":{}}`
-	if err := validateReport([]byte(scenarioReport(simScenario, simPoint))); err == nil {
-		t.Error("validator accepted counters on a simulator point")
 	}
 }
 
 func TestRunScenarioMetricsJSONValidates(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-quick", "-json", "-metrics", "-ops", "400",
-		"-scenario", "throughput,zipf-grid",
-		"-locks", "MWSF,Bravo(MWSF),sync.RWMutex"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateReport([]byte(b.String())); err != nil {
-		t.Fatalf("fresh -metrics emission fails validation: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(b.String()), &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := runJSON(t, "-quick", "-metrics", "-ops", "400",
+		"-scenario", "age-frontier,zipf-grid",
+		"-locks", "MWSF,Bravo(MWSF),sync.RWMutex")
 	instrumented, silent := 0, 0
 	for _, sr := range rep.Scenarios {
 		if !sr.Metrics {
@@ -748,19 +632,16 @@ func TestRunScenarioMetricsJSONValidates(t *testing.T) {
 }
 
 // TestRunMetricsRequiresScenario: -metrics needs a native scenario in
-// the selection.  The default pair is one, so a bare -metrics run
-// instruments it; a simulator-only selection is rejected.
+// the selection: a native one is instrumented, a simulator-only one
+// is rejected.
 func TestRunMetricsRequiresScenario(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-quick", "-ops", "200", "-workers", "2", "-json", "-metrics",
-		"-locks", "MWSF"}, &b); err != nil {
-		t.Fatalf("default pair rejected -metrics: %v", err)
-	}
-	if err := validateReport([]byte(b.String())); err != nil {
-		t.Fatalf("default-pair -metrics emission fails validation: %v", err)
+		"-scenario", "age-frontier", "-locks", "MWSF"}, &b); err != nil {
+		t.Fatalf("native scenario rejected -metrics: %v", err)
 	}
 	if !strings.Contains(b.String(), `"counters"`) {
-		t.Fatalf("default-pair -metrics emission carries no counters:\n%s", b.String())
+		t.Fatalf("-metrics emission carries no counters:\n%s", b.String())
 	}
 	if err := run([]string{"-quick", "-metrics", "-scenario", "rmr"}, &b); err == nil ||
 		!strings.Contains(err.Error(), "-metrics applies to no selected scenario") {

@@ -15,25 +15,18 @@
 // rwmap.Map, hash-striped over many locks so concurrent requests for
 // different keys never contend.  Real serving traffic is skewed —
 // a few keys draw most of the reads (classically Zipfian, s ≈ 1.07) —
-// so the first measurement drives exactly that shape through striped
-// grids of each lock (the harness's "zipf-grid" scenario, trimmed to
-// example size) and reports throughput, the hot key's read rate, and
-// the measured bytes per lock instance: the number that decides
-// whether a 10^6-stripe grid is affordable.
-//
-// The second measurement is the harness's "bursty-writers" scenario —
-// one administrative writer bursting updates against a storm of
-// readers on a single cell — the regime every individual stripe is in
-// when the traffic concentrates on one hot key: for each discipline
-// it reports how long updates waited to land (write wait p50/p99) and
-// how stale the readers' view got (age p99).
+// so the measurement drives exactly that shape through striped grids
+// of each lock (the harness's "zipf-grid" scenario, trimmed to example
+// size) and reports throughput, the hot key's read rate, and the
+// measured bytes per lock instance: the number that decides whether a
+// 10^6-stripe grid is affordable.
 //
 // Run with:
 //
 //	go run ./examples/kvstore
 //
 // or serve the live observability endpoints instead of running the
-// batch measurements (see serve.go):
+// batch measurement (see serve.go):
 //
 //	go run ./examples/kvstore -serve 127.0.0.1:8080
 package main
@@ -41,7 +34,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"rwsync/internal/harness"
 	"rwsync/rwlock"
@@ -87,7 +79,7 @@ func (s *Store) Compact(keep func(key string) bool) {
 }
 
 func main() {
-	serveAddr := flag.String("serve", "", "serve /debug/rwsync, /metrics and /debug/vars on this address under background traffic instead of running the batch measurements")
+	serveAddr := flag.String("serve", "", "serve /debug/rwsync, /metrics and /debug/vars on this address under background traffic instead of running the batch measurement")
 	flag.Parse()
 	if *serveAddr != "" {
 		serve(*serveAddr)
@@ -108,7 +100,7 @@ func main() {
 		panic("compaction lost")
 	}
 
-	// Measurement 1: Zipfian serving traffic over striped grids.  The
+	// The measurement: Zipfian serving traffic over striped grids.  The
 	// registry's zipf-grid scenario sweeps up to 10^6 stripes; the
 	// example trims the axes to stay demo-sized and narrows the lock
 	// set to one private/slim pair plus the baseline.
@@ -134,48 +126,10 @@ func main() {
 			p.Lock, p.Stripes, p.BytesPerLock, p.OpsPerSec,
 			100*float64(p.HotReadOps)/float64(p.ReadOps))
 	}
-	fmt.Println()
-
-	// Measurement 2: the single-stripe regime — one hot cell, bursty
-	// administrative writer vs a reader storm — where the lock
-	// DISCIPLINE (who wins when both classes wait) decides update
-	// latency and read-view staleness.
-	sc, ok := harness.ScenarioByName("bursty-writers")
-	if !ok {
-		panic("bursty-writers scenario not registered")
-	}
-	fmt.Printf("hot-stripe discipline: %s\n", sc.Title)
-	fmt.Printf("(1 dedicated writer bursting updates vs %d non-stop reader loops\n"+
-		" on a cell guarded by each lock, %v per lock)\n\n",
-		sc.Workers[0]-1, sc.Duration)
-
-	notes := map[string]string{
-		"MWWP":         "writer priority: updates overtake arriving readers (WP1)",
-		"MWSF":         "no priority, starvation-free for both classes",
-		"MWSF/bounded": "MWSF over the bounded Anderson writer arbitration",
-		"MWSF/combine": "MWSF over the flat-combining writer arbitration",
-		"MWRP":         "reader priority: updates wait for a reader gap (RP1)",
-		"sync.RWMutex": "runtime baseline",
-	}
-	bres, err := harness.RunScenario(sc, harness.ScenarioOptions{Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	for _, p := range bres.Points {
-		if p.WriteWait == nil || p.Age == nil {
-			fmt.Printf("%-13s (run too short to sample)\n", p.Lock)
-			continue
-		}
-		fmt.Printf("%-13s update waits p50 %-9s p99 %-9s  read-view age p99 %-9s  (%s)\n",
-			p.Lock,
-			time.Duration(p.WriteWait.P50),
-			time.Duration(p.WriteWait.P99),
-			time.Duration(p.Age.P99),
-			notes[p.Lock])
-	}
 
 	fmt.Println("\nAll disciplines guarantee mutual exclusion and constant RMR complexity;")
 	fmt.Println("striping decides how often two requests meet at the same lock, the")
 	fmt.Println("discipline decides who wins when they do, and bytes/lock decides how")
-	fmt.Println("many stripes you can afford — the three knobs the tables above measure.")
+	fmt.Println("many stripes you can afford — the table above measures the first and")
+	fmt.Println("the last.")
 }

@@ -1,37 +1,36 @@
-// Package harness assembles the repository's numbered experiments
-// (E1-E9; the rwcheck native stress E10, the BenchmarkReadHeavy grid
-// E11 and the oversubscription grid E12 build on its registries) and
-// owns the registries that name every algorithm under test.  The
-// cmd/rmrbench and cmd/rwbench tools and the repository-root
-// bench_test.go entry points are thin wrappers over this package.
+// Package harness runs the repository's scenarios — the simulator RMR
+// experiments (E1-E4, E9) and the native measurements — and owns the
+// registries that name every algorithm under test.  The rwcheck
+// native stress (E10) and bench_test.go's Go benchmarks (E7, E8, E11,
+// E12) build on those registries.  The cmd/rmrbench and cmd/rwbench
+// tools are thin wrappers over this package.
 //
 // # The scenario engine
 //
 // Every measurement the repo runs is a Scenario: a declarative record
 // naming the lock set (or simulator systems), the workload shape
-// (worker grid, read-ratio grid or dedicated-writer storm, op budget
-// or deadline, critical-section and think work, writer burstiness), a
-// GOMAXPROCS pin, and the probes to enable (latency sampling rate,
-// writer-visibility age).  RunScenario is the one sweep core: it
+// (worker grid, read-ratio grid, op budget, critical-section and think
+// work, churned or deadline-bound writers, versioned writes, a stripe
+// grid), a GOMAXPROCS pin, and the probes to enable (latency sampling
+// rate, writer-visibility age).  RunScenario is the one sweep core: it
 // resolves the grids, pins the scheduler if asked, and measures every
 // cell — native cells through internal/workload with per-worker
 // latency histograms (internal/stats.Histogram), simulator cells
 // through internal/ccsim RMR accounting.  A new experiment is a
 // RegisterScenario call of ~20 lines, selectable by name via rwbench
-// -scenario, rendered by ScenarioTable, and carried losslessly
-// (full histograms) by the rwbench -json schema.
+// -scenario, rendered by ScenarioTable, and carried losslessly (full
+// histograms) by rwbench -json.
 //
-// The numbered experiments are registry entries run through the same
-// core — "throughput" (E7) and "priority" (E8), rwbench's default
-// selection, "oversub" (E12) and "rmr"/"rmr-dsm" (E1-E4/E9) — and
-// there is no other entry point: cmd/rmrbench runs each of its RMR
-// experiments as a one-system SimShape scenario and renders it with
-// RMRTable.  The other scenarios measure what a plain throughput
-// sweep cannot: "bursty-writers" (an administrative writer's update
-// wait latency and readers' view age under a storm — the kvstore
-// example's measurement, promoted), "starvation" (the reader
-// wait-latency tail under a writer flood), and "latency-grid" (full
-// per-class latency distributions across the read-ratio axis).
+// The registry holds six scenarios, and there is no other entry
+// point.  "rmr" and "rmr-dsm" count RMRs per passage on the simulator;
+// cmd/rmrbench runs each of its RMR experiments as a one-system
+// SimShape scenario and renders it with RMRTable.  The four native
+// scenarios measure what bench_test.go's throughput and latency
+// benchmarks do not: "writer-churn" (thousands of one-shot writers
+// over each writer arbitration), "writer-shed" (the same churn with a
+// per-write deadline), "age-frontier" (update age against the
+// versions deferred reclamation retains) and "zipf-grid" (the serving
+// tier: striped maps under Zipfian keys).
 //
 // # Registries
 //

@@ -78,11 +78,11 @@ func Builders() map[string]func(w, r int) *core.System {
 // boundedWriters is the Anderson-array capacity of the registry's
 // "/bounded" lock variants.  One constant for every sweep: sweeping
 // the same lock with two different bounds silently compares two
-// different memory layouts.  64 exceeds every worker count of the
-// flat scenarios, so there the bounded variant measures the Anderson
-// array itself, not its admission gate; the writer-churn scenario
-// deliberately exceeds it so the gate shows up in the writer-wait
-// tail.
+// different memory layouts.  64 exceeds the age-frontier and
+// zipf-grid worker counts, so there the bounded variant measures the
+// Anderson array itself, not its admission gate; the churn scenarios'
+// 256 lanes deliberately exceed it so the gate shows up in the
+// writer-wait tail.
 const boundedWriters = 64
 
 // NativeLocks returns the named native lock constructors every native
@@ -144,10 +144,10 @@ func NativeLocksWith(extra ...rwlock.Option) map[string]func() rwlock.RWLock {
 	}
 }
 
-// LockNames returns the canonical presentation order of the DEFAULT
-// sweep: the paper's three multi-writer locks, each bare and under
-// Bravo, then the baselines.  The arbitration, epoch and serving-tier
-// builds are opt-in (AllLockNames, or -locks on rwbench).
+// LockNames returns the core lock set in presentation order: the
+// paper's three multi-writer locks, each bare and under Bravo, then
+// the baselines.  rwcheck's native stress (E10) runs it; the
+// arbitration, epoch and serving-tier builds are in AllLockNames.
 func LockNames() []string {
 	return []string{
 		"MWSF", "Bravo(MWSF)",
@@ -183,14 +183,15 @@ func SortedLockNames() []string {
 	return names
 }
 
-// OversubLockNames is the default lock set of the oversubscription
-// sweep: the starvation-free and writer-priority disciplines, the
-// Bravo fast path, and sync.RWMutex, whose waiters park at once.
+// OversubLockNames is the lock set of the oversubscription benchmark
+// (BenchmarkOversubscribed, E12): the starvation-free and
+// writer-priority disciplines, the Bravo fast path, and sync.RWMutex,
+// whose waiters park at once.
 func OversubLockNames() []string {
 	return []string{"MWSF", "Bravo(MWSF)", "MWWP", "sync.RWMutex"}
 }
 
-// ChurnLockNames is the lock set of the writer-churn scenario: the
+// ChurnLockNames is the lock set of the churn scenarios: the
 // unbounded MCS arbitration vs the bounded Anderson arbitration vs
 // the flat combiner vs the runtime baseline.  All three writerMutex
 // implementations over the same core, so the writer-wait tail
@@ -203,12 +204,8 @@ func ChurnLockNames() []string {
 
 // SelectLockNames validates and canonicalizes a lock-name subset: it
 // returns the requested names in AllLockNames order, or an error
-// naming the unknown entry.  An empty request selects the default
-// locks (LockNames).
+// naming the unknown entry.
 func SelectLockNames(requested []string) ([]string, error) {
-	if len(requested) == 0 {
-		return LockNames(), nil
-	}
 	want := make(map[string]bool, len(requested))
 	for _, name := range requested {
 		want[name] = true

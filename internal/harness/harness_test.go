@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"rwsync/rwlock"
 )
@@ -91,44 +90,6 @@ func runRegistered(t *testing.T, name string, opts ScenarioOptions) *ScenarioRes
 	return res
 }
 
-// TestThroughputScenarioAndTable: the "throughput" scenario sweeps every
-// default lock, and its table has a row for each.
-func TestThroughputScenarioAndTable(t *testing.T) {
-	res := runRegistered(t, "throughput", ScenarioOptions{Seed: 1, Quick: true, Workers: []int{2}, Ops: 300})
-	if want := len(LockNames()) * 2; len(res.Points) != want { // two read fractions under Quick
-		t.Fatalf("got %d points, want %d", len(res.Points), want)
-	}
-	for _, p := range res.Points {
-		if p.OpsPerSec <= 0 {
-			t.Fatalf("lock %s reported no throughput", p.Lock)
-		}
-	}
-	out := ScenarioTable(res).Render()
-	for _, name := range LockNames() {
-		if !strings.Contains(out, name) {
-			t.Fatalf("table missing %s:\n%s", name, out)
-		}
-	}
-}
-
-// TestPriorityScenarioAndTable: the "priority" scenario measures both
-// classes' latency for every default lock.
-func TestPriorityScenarioAndTable(t *testing.T) {
-	res := runRegistered(t, "priority", ScenarioOptions{Seed: 1, Workers: []int{3}, Ops: 300})
-	if len(res.Points) != len(LockNames()) {
-		t.Fatalf("got %d points, want %d", len(res.Points), len(LockNames()))
-	}
-	for _, p := range res.Points {
-		if p.WriteTotal == nil || p.WriteTotal.P50 <= 0 || p.ReadTotal == nil || p.ReadTotal.P50 <= 0 {
-			t.Fatalf("lock %s missing latencies: %+v", p.Lock, p)
-		}
-	}
-	out := ScenarioTable(res).Render()
-	if !strings.Contains(out, "wr wait p99") || !strings.Contains(out, "2r/1w") {
-		t.Fatalf("table malformed:\n%s", out)
-	}
-}
-
 func TestNativeLocksConstructAll(t *testing.T) {
 	for name, f := range NativeLocks() {
 		l := f()
@@ -190,32 +151,6 @@ func TestSelectLockNamesCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestOversubscribedSweep(t *testing.T) {
-	sc, _ := ScenarioByName("oversub")
-	sc.ReadFractions = []float64{0.9}
-	sc.Duration = 20 * time.Millisecond
-	res, err := RunScenario(sc, ScenarioOptions{Seed: 1,
-		Locks: []string{"MWSF", "sync.RWMutex"}, Workers: []int{16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.OpsPerSec <= 0 {
-			t.Fatalf("lock %s reported no throughput", p.Lock)
-		}
-		if p.Workers != 16 {
-			t.Fatalf("point kept workers=%d, want 16", p.Workers)
-		}
-	}
-	out := ScenarioTable(res).Render()
-	if !strings.Contains(out, "MWSF") {
-		t.Fatalf("table missing MWSF row:\n%s", out)
-	}
-}
-
 // TestNativeLocksWithStats pins the -metrics seam: a WithStats extra
 // must reach every layer of every registry row that is inside the
 // stats seam — one acquire counted per passage, nothing
@@ -256,23 +191,19 @@ func TestNativeLocksWithStats(t *testing.T) {
 
 // TestRunScenarioMetrics pins the engine-level contract: a Metrics run
 // carries one coherent counter block per point (validated against the
-// op counts by the runner itself) and records the metrics bit.
+// op counts, sheds included, by the runner itself) and records the
+// metrics bit.  It also checks the bookkeeping the points report
+// beside the counters: the epoch columns of versioned writes and the
+// shed columns of deadline writes.
 func TestRunScenarioMetrics(t *testing.T) {
-	sc, ok := ScenarioByName("throughput")
-	if !ok {
-		t.Fatal("throughput scenario not registered")
-	}
-	res, err := RunScenario(sc, ScenarioOptions{
+	res := runRegistered(t, "age-frontier", ScenarioOptions{
 		Seed:    1,
 		Quick:   true,
 		Metrics: true,
 		Ops:     200,
 		Workers: []int{2},
-		Locks:   []string{"MWSF/combine", "sync.RWMutex"},
+		Locks:   []string{"MWSF/combine", "MWSF/epoch", "sync.RWMutex"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !res.Metrics {
 		t.Fatal("metrics bit not recorded on the result")
 	}
@@ -281,13 +212,45 @@ func TestRunScenarioMetrics(t *testing.T) {
 		if p.Counters == nil {
 			t.Fatalf("lock %s: no counters", p.Lock)
 		}
-		if p.Lock == "MWSF/combine" {
+		switch p.Lock {
+		case "MWSF/combine":
 			combined = p.Counters.CombinedOps
+		case "MWSF/epoch":
+			// Every versioned write but the first retired the version
+			// it displaced; reclamation never outruns retirement, the
+			// high-water mark covers the unreclaimed residue, retiring
+			// implies grace waits, and the counter block agrees with the
+			// lock's own EpochStats.
+			if p.RetiredVersions != p.WriteOps-1 || p.ReclaimedVersions > p.RetiredVersions ||
+				p.RetainedVersionsMax < p.RetiredVersions-p.ReclaimedVersions ||
+				p.GraceWaits <= 0 || p.EpochAdvances <= 0 {
+				t.Fatalf("epoch bookkeeping inconsistent: %+v", p)
+			}
+			if int64(p.Counters.RetiredVersions) != p.RetiredVersions ||
+				int64(p.Counters.ReclaimedVersions) != p.ReclaimedVersions {
+				t.Fatalf("counter reclamation %d/%d disagrees with epoch columns %d/%d",
+					p.Counters.RetiredVersions, p.Counters.ReclaimedVersions,
+					p.RetiredVersions, p.ReclaimedVersions)
+			}
+		default:
+			if p.RetiredVersions != 0 || p.RetainedVersionsMax != 0 {
+				t.Fatalf("lock %s: retained-memory columns without an epoch layer: %+v", p.Lock, p)
+			}
 		}
 	}
 	// The combining row's closure writes must have flowed through the
 	// combiner's counters, not just the wrapper's.
 	if combined == 0 {
 		t.Fatal("MWSF/combine cell counted no combined ops")
+	}
+
+	// Deadline writes: every attempt is either granted or shed.
+	shed := runRegistered(t, "writer-shed", ScenarioOptions{Seed: 1, Metrics: true, Ops: 16})
+	attempts := int64(shed.Scenario.Workers[0] * shed.Scenario.OpsPerWorker)
+	for _, p := range shed.Points {
+		if p.WriteOps+p.ShedOps != attempts || p.ShedRate < 0 || p.ShedRate > 1 {
+			t.Fatalf("lock %s: %d writes + %d sheds (rate %v) for %d attempts",
+				p.Lock, p.WriteOps, p.ShedOps, p.ShedRate, attempts)
+		}
 	}
 }

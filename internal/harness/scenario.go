@@ -50,23 +50,15 @@ type Scenario struct {
 	// Description says what the scenario demonstrates.
 	Description string `json:"-"`
 
-	// Locks names NativeLocks registry entries; nil means the default
-	// set (LockNames).  Ignored for simulator scenarios.
-	Locks []string `json:"locks,omitempty"`
-	// Workers is the goroutine-count grid; nil means doubling counts
-	// up to 2*NumCPU.
-	Workers []int `json:"workers,omitempty"`
-	// ReadFractions is the read-ratio grid; nil means a single pass
-	// (the dedicated-writer shapes, where the mix is structural).
+	// Locks (NativeLocks registry entries), Workers (the
+	// goroutine-count grid) and ReadFractions (the read-ratio grid)
+	// span a native scenario's cells; every native scenario names all
+	// three.  Simulator scenarios ignore them.
+	Locks         []string  `json:"locks,omitempty"`
+	Workers       []int     `json:"workers,omitempty"`
 	ReadFractions []float64 `json:"read_fractions,omitempty"`
-	// DedicatedWriters > 0 switches to the storm shape: that many
-	// workers write exclusively, the rest read exclusively.
-	DedicatedWriters int `json:"dedicated_writers,omitempty"`
-	// OpsPerWorker sizes op-budget runs; Duration > 0 switches to
-	// deadline runs (the oversubscription mode).
-	OpsPerWorker int           `json:"ops_per_worker,omitempty"`
-	Duration     time.Duration `json:"-"`
-	DurationMs   int64         `json:"duration_ms,omitempty"` // JSON mirror of Duration
+	// OpsPerWorker is each worker's op budget.
+	OpsPerWorker int `json:"ops_per_worker,omitempty"`
 	// CSWork/ThinkWork shape the critical and remainder sections.
 	CSWork    int `json:"cs_work"`
 	ThinkWork int `json:"think_work"`
@@ -74,13 +66,10 @@ type Scenario struct {
 	// default); MeasureAge enables the writer-visibility probe.
 	SampleEvery int  `json:"sample_every,omitempty"`
 	MeasureAge  bool `json:"measure_age,omitempty"`
-	// WriterBurstLen/WriterBurstPause make dedicated writers bursty
-	// (see workload.Config).
-	WriterBurstLen   int `json:"writer_burst_len,omitempty"`
-	WriterBurstPause int `json:"writer_burst_pause,omitempty"`
-	// Yield makes workers yield after every op; storm scenarios set
-	// it so single-core runs interleave per op instead of degrading
-	// into whole scheduler quanta per worker (see workload.Config).
+	// Yield makes workers yield after every op; the churn and serving
+	// scenarios set it so runs with more goroutines than Ps interleave
+	// per op instead of degrading into whole scheduler quanta per
+	// worker (see workload.Config).
 	Yield bool `json:"yield,omitempty"`
 	// Churn runs every operation on a fresh goroutine: each worker
 	// becomes a lane spawning one short-lived goroutine per op (see
@@ -103,8 +92,8 @@ type Scenario struct {
 	// age against retained memory.
 	VersionBytes int `json:"version_bytes,omitempty"`
 	// GOMAXPROCS, if > 0, is pinned for the scenario's duration (and
-	// restored after) so oversubscription scenarios oversubscribe
-	// even on big machines.
+	// restored after), so the churn scenarios pile 256 lanes onto the
+	// same 2 Ps on every machine.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	// Stripes, when non-empty, switches the scenario to the SHARDED
@@ -174,10 +163,9 @@ type ScenarioPoint struct {
 	// scenario; present only when the scenario set WriteDeadline).
 	ShedOps  int64   `json:"shed_ops,omitempty"`
 	ShedRate float64 `json:"shed_rate,omitempty"`
-	// The sharded-cell fields (additive, schema_version 2): the grid
-	// size and skew of the cell, the measured marginal heap bytes per
-	// lock instance at that grid size, and how many reads landed on
-	// the hottest key (rank 0).
+	// The sharded-cell fields: the grid size and skew of the cell, the
+	// measured marginal heap bytes per lock instance at that grid size,
+	// and how many reads landed on the hottest key (rank 0).
 	Stripes      int     `json:"stripes,omitempty"`
 	ZipfS        float64 `json:"zipf_s,omitempty"`
 	BytesPerLock float64 `json:"bytes_per_lock,omitempty"`
@@ -196,11 +184,10 @@ type ScenarioPoint struct {
 	// critical sections each drain of the publication list retired.
 	BatchSize *stats.HistSnapshot `json:"batch_size,omitempty"`
 	// The epoch counters ride only on points whose lock is an Epoch
-	// wrapper (rwlock.EpochStatsOf), the same additive-schema pattern
-	// as batch_size: advances/grace waits tell how aggressively the
-	// fast path was closed, retired/reclaimed and the retained
-	// high-water marks tell what deferred reclamation cost in held-back
-	// versions and bytes.
+	// wrapper (rwlock.EpochStatsOf), the same pattern as batch_size:
+	// advances/grace waits tell how aggressively the fast path was
+	// closed, retired/reclaimed and the retained high-water marks tell
+	// what deferred reclamation cost in held-back versions and bytes.
 	EpochAdvances       int64 `json:"epoch_advances,omitempty"`
 	GraceWaits          int64 `json:"grace_waits,omitempty"`
 	RetiredVersions     int64 `json:"retired_versions,omitempty"`
@@ -228,8 +215,8 @@ type ScenarioResult struct {
 	Seed       int64    `json:"seed"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	// Metrics records whether the run instrumented its cells with
-	// counter blocks (ScenarioOptions.Metrics) — the bit the validator
-	// uses to require Counters on every point, or on none.
+	// counter blocks (ScenarioOptions.Metrics); every native point of
+	// such a run carries Counters.
 	Metrics bool            `json:"metrics,omitempty"`
 	Points  []ScenarioPoint `json:"points"`
 }
@@ -276,16 +263,13 @@ func ScenarioByName(name string) (Scenario, bool) {
 	return sc, ok
 }
 
-// SelectScenarios resolves a comma-separated request ("all", names,
-// or empty for the default pair) to scenarios in registration order.
-// It also checks each selected scenario's grid as RunScenario will
-// resolve it under opts, so a selection that one scenario cannot run
-// fails before any scenario has run.
+// SelectScenarios resolves a comma-separated request ("all" or names)
+// to scenarios in registration order.  It also checks each selected
+// scenario's grid as RunScenario will resolve it under opts, so a
+// selection that one scenario cannot run fails before any scenario
+// has run.
 func SelectScenarios(request string, opts ScenarioOptions) ([]Scenario, error) {
 	request = strings.TrimSpace(request)
-	if request == "" {
-		request = "throughput,priority"
-	}
 	var out []Scenario
 	if request == "all" {
 		for _, name := range scenarioOrder {
@@ -304,8 +288,8 @@ func SelectScenarios(request string, opts ScenarioOptions) ([]Scenario, error) {
 		}
 	}
 	if len(want) == 0 {
-		// A request like "," parses to zero names; running nothing
-		// silently would look like an instant, empty success.
+		// An empty request, or one like ",", names nothing; running
+		// nothing silently would look like an instant, empty success.
 		return nil, fmt.Errorf("scenario request %q selects nothing (have %s)",
 			request, strings.Join(SortedScenarioNames(), ", "))
 	}
@@ -329,40 +313,7 @@ func checkSelection(scs []Scenario, opts ScenarioOptions) error {
 }
 
 func init() {
-	// The numbered experiments: throughput and priority are rwbench's
-	// default selection.
-	RegisterScenario(Scenario{
-		Name:          "throughput",
-		Title:         "E7: native throughput by lock, workers and read ratio",
-		Description:   "mixed reader/writer ops/sec across the (workers, read%) grid",
-		ReadFractions: []float64{0.5, 0.9, 0.99, 1.0},
-		OpsPerWorker:  20000,
-		CSWork:        32,
-		ThinkWork:     32,
-	})
-	RegisterScenario(Scenario{
-		Name:             "priority",
-		Title:            "E8: 1 dedicated writer vs 8 readers — latency by class",
-		Description:      "minority-class latency under a majority-class storm",
-		Workers:          []int{9},
-		DedicatedWriters: 1,
-		OpsPerWorker:     20000,
-		CSWork:           64,
-		ThinkWork:        16,
-		SampleEvery:      4,
-	})
-	RegisterScenario(Scenario{
-		Name:          "oversub",
-		Title:         "E12: oversubscribed throughput (workers >> GOMAXPROCS)",
-		Description:   "spin-then-park waiting against sync.RWMutex under scheduler pressure, deadline-based",
-		Locks:         OversubLockNames(),
-		Workers:       []int{16, 64},
-		ReadFractions: []float64{0.9, 0.99},
-		Duration:      100 * time.Millisecond,
-		CSWork:        32,
-		ThinkWork:     32,
-		GOMAXPROCS:    2,
-	})
+	// The RMR sweeps measure the paper's claim in simulation.
 	RegisterScenario(Scenario{
 		Name:        "rmr",
 		Title:       "E1-E4: RMRs per passage on the CC simulator",
@@ -384,44 +335,8 @@ func init() {
 		},
 	})
 
-	// The scenarios the engine makes cheap: each of these was a
-	// hand-rolled measurement (or impossible) before.
-	RegisterScenario(Scenario{
-		Name:  "bursty-writers",
-		Title: "bursty writer storms: update wait latency and read-view age",
-		Description: "an administrative writer bursts against a reader storm; " +
-			"the product is how long each update waits to land (write wait) " +
-			"and how stale readers' views get (age) — with the MWSF row " +
-			"repeated under all three writer arbitrations (MCS, bounded " +
-			"Anderson, flat combining) so the layer's solo-writer overhead " +
-			"shows up here and its batching win in combine-batch",
-		Locks: []string{"MWWP", "MWSF", "MWSF/bounded", "MWSF/combine",
-			"MWRP", "sync.RWMutex"},
-		Workers:          []int{9},
-		DedicatedWriters: 1,
-		Duration:         150 * time.Millisecond,
-		WriterBurstLen:   8,
-		WriterBurstPause: 1 << 16,
-		CSWork:           8,
-		ThinkWork:        8,
-		SampleEvery:      1,
-		MeasureAge:       true,
-		Yield:            true,
-	})
-	RegisterScenario(Scenario{
-		Name:  "starvation",
-		Title: "reader-starvation probe: 8 writers flood 2 readers",
-		Description: "reader wait-latency tail under a writer flood — the metric " +
-			"that separates reader-priority (RP1 protects readers) from " +
-			"writer-priority (WP2 lets the flood shut readers out)",
-		Workers:          []int{10},
-		DedicatedWriters: 8,
-		OpsPerWorker:     4000,
-		CSWork:           32,
-		ThinkWork:        8,
-		SampleEvery:      1,
-		Yield:            true,
-	})
+	// The native scenarios: writer fairness and shedding under churn,
+	// the age-memory frontier, and the serving tier.
 	RegisterScenario(Scenario{
 		Name:  "writer-churn",
 		Title: "writer churn: thousands of short-lived writers, one passage each",
@@ -449,31 +364,6 @@ func init() {
 		CSWork:       64,
 		ThinkWork:    8,
 		SampleEvery:  1,
-		Churn:        true,
-		Yield:        true,
-		GOMAXPROCS:   2,
-	})
-	RegisterScenario(Scenario{
-		Name:  "combine-batch",
-		Title: "flat-combining batches under writer churn: batch size, writer wait, view age",
-		Description: "the writer-churn shape (every op a fresh goroutine, " +
-			"GOMAXPROCS=2) run all-write and half-read over the three writer " +
-			"arbitrations — unbounded MCS, bounded Anderson (gate saturated), " +
-			"flat combining — plus sync.RWMutex; the products are the " +
-			"combiner's batch-size distribution (batch p50/p99/max columns), " +
-			"the writer-wait tail each arbitration pays per passage, and, on " +
-			"the mixed point, how stale the churned readers' views get",
-		Locks:         ChurnLockNames(),
-		Workers:       []int{256}, // churn lanes, each spawning fresh one-shot goroutines
-		ReadFractions: []float64{0, 0.5},
-		// 256 lanes x 128 spawns per point, the writer-churn geometry
-		// (see there): deep enough that writer pile-ups — the
-		// batch-forming mechanism under churn — occur every run.
-		OpsPerWorker: 128,
-		CSWork:       64,
-		ThinkWork:    8,
-		SampleEvery:  1,
-		MeasureAge:   true,
 		Churn:        true,
 		Yield:        true,
 		GOMAXPROCS:   2,
@@ -556,38 +446,13 @@ func init() {
 		MixedOps:      true,
 		Yield:         true,
 	})
-	RegisterScenario(Scenario{
-		Name:  "latency-grid",
-		Title: "latency grid: per-op latency distributions across read ratios",
-		Description: "full wait/hold latency histograms per class across the " +
-			"read-ratio axis — the distributional view aggregate throughput hides",
-		Workers:       []int{4},
-		ReadFractions: []float64{0.5, 0.75, 0.9, 0.99, 0.999},
-		OpsPerWorker:  20000,
-		CSWork:        32,
-		ThinkWork:     32,
-		SampleEvery:   2,
-	})
 }
 
 // --- the one core ---
 
-// defaultWorkerGrid is the doubling grid up to 2*NumCPU the
-// throughput sweep has always used.
-func defaultWorkerGrid() []int {
-	var workers []int
-	for w := 1; w <= 2*runtime.NumCPU(); w *= 2 {
-		workers = append(workers, w)
-	}
-	if len(workers) == 0 {
-		workers = []int{1}
-	}
-	return workers
-}
-
-// quickTrim shrinks a scenario whose grids are filled in to
-// smoke-test size: first worker count, at most two read fractions, a
-// small op budget or deadline, fewer sim points and attempts.
+// quickTrim shrinks a scenario to smoke-test size: first worker
+// count, at most two read fractions, a small op budget, fewer sim
+// points and attempts.
 func quickTrim(sc Scenario) Scenario {
 	if len(sc.Workers) > 1 {
 		sc.Workers = sc.Workers[:1]
@@ -597,9 +462,6 @@ func quickTrim(sc Scenario) Scenario {
 	}
 	if sc.OpsPerWorker > 500 {
 		sc.OpsPerWorker = 500
-	}
-	if sc.Duration > 25*time.Millisecond {
-		sc.Duration = 25 * time.Millisecond
 	}
 	if sc.Sim != nil {
 		sim := *sc.Sim
@@ -667,17 +529,15 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.DurationMs = sc.Duration.Milliseconds()
 	sc.WriteDeadlineUs = sc.WriteDeadline.Microseconds()
 	res.Scenario = sc
 	return res, nil
 }
 
 // resolveScenario returns the scenario RunScenario runs for sc under
-// opts, or the reason no cell of it can run: the overrides applied,
-// the defaulted lock and worker grids filled in (so the result
-// records what ran), -quick's trim applied to that whole grid, and
-// every lock, system, worker count and stripe count checked.
+// opts, or the reason no cell of it can run: the overrides applied
+// (so the result records what ran), -quick's trim applied, and every
+// lock, system, worker count and stripe count checked.
 // SelectScenarios runs the same check over a whole selection.
 func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
 	if len(opts.Locks) > 0 {
@@ -686,7 +546,7 @@ func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
 	if len(opts.Workers) > 0 {
 		sc.Workers = opts.Workers
 	}
-	if opts.Ops > 0 && sc.Duration == 0 && sc.Sim == nil {
+	if opts.Ops > 0 && sc.Sim == nil {
 		sc.OpsPerWorker = opts.Ops
 	}
 	if len(sc.Stripes) > 0 {
@@ -701,23 +561,6 @@ func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
 			sc.ZipfS = opts.ZipfS
 		}
 	}
-	switch {
-	case sc.Sim != nil:
-	case len(sc.Stripes) > 0:
-		if len(sc.Locks) == 0 {
-			sc.Locks = ShardedLockNames()
-		}
-		if len(sc.Workers) == 0 {
-			sc.Workers = []int{8}
-		}
-	default:
-		if len(sc.Locks) == 0 {
-			sc.Locks = LockNames()
-		}
-		if len(sc.Workers) == 0 {
-			sc.Workers = defaultWorkerGrid()
-		}
-	}
 	if opts.Quick {
 		sc = quickTrim(sc)
 	}
@@ -730,6 +573,10 @@ func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
 		}
 		return sc, nil
 	}
+	if len(sc.Locks) == 0 || len(sc.Workers) == 0 || len(sc.ReadFractions) == 0 {
+		// An empty axis would run no cell and report an empty success.
+		return sc, fmt.Errorf("scenario %s: names no locks, worker counts or read fractions", sc.Name)
+	}
 	builders := NativeLocks()
 	for _, name := range sc.Locks {
 		if builders[name] == nil {
@@ -740,12 +587,6 @@ func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
 	for _, w := range sc.Workers {
 		if w < 1 {
 			return sc, fmt.Errorf("scenario %s: worker count %d (need >= 1)", sc.Name, w)
-		}
-		if sc.DedicatedWriters > 0 && w < 2 {
-			// A storm shape needs both classes present; silently
-			// running it all-writer would mislabel the measurement.
-			return sc, fmt.Errorf("scenario %s: %d workers cannot host %d dedicated writer(s) plus a reader",
-				sc.Name, w, sc.DedicatedWriters)
 		}
 	}
 	for _, st := range sc.Stripes {
@@ -792,19 +633,10 @@ func checkCellCounters(s *rwlock.LockStatsSnapshot, scenario, lock string, readO
 // scenario resolveScenario has resolved.
 func runNativeScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint, error) {
 	builders := NativeLocks()
-	fractions := sc.ReadFractions
-	if len(fractions) == 0 {
-		// Dedicated-writer shapes: the mix is structural, one pass.
-		fractions = []float64{0}
-	}
 	var points []ScenarioPoint
 	for _, name := range sc.Locks {
 		for _, w := range sc.Workers {
-			for _, f := range fractions {
-				dedicated := sc.DedicatedWriters
-				if dedicated >= w {
-					dedicated = w - 1 // keep at least one reader in the probe
-				}
+			for _, f := range sc.ReadFractions {
 				build := builders[name]
 				var cellStats *rwlock.LockStats
 				if metrics {
@@ -817,22 +649,18 @@ func runNativeScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint, 
 				}
 				l := build()
 				r := workload.Run(l, workload.Config{
-					Workers:          w,
-					ReadFraction:     f,
-					DedicatedWriters: dedicated,
-					OpsPerWorker:     sc.OpsPerWorker,
-					Duration:         sc.Duration,
-					CSWork:           sc.CSWork,
-					ThinkWork:        sc.ThinkWork,
-					Seed:             seed,
-					SampleEvery:      sc.SampleEvery,
-					MeasureAge:       sc.MeasureAge,
-					WriterBurstLen:   sc.WriterBurstLen,
-					WriterBurstPause: sc.WriterBurstPause,
-					Yield:            sc.Yield,
-					Churn:            sc.Churn,
-					WriteDeadline:    sc.WriteDeadline,
-					VersionBytes:     sc.VersionBytes,
+					Workers:       w,
+					ReadFraction:  f,
+					OpsPerWorker:  sc.OpsPerWorker,
+					CSWork:        sc.CSWork,
+					ThinkWork:     sc.ThinkWork,
+					Seed:          seed,
+					SampleEvery:   sc.SampleEvery,
+					MeasureAge:    sc.MeasureAge,
+					Yield:         sc.Yield,
+					Churn:         sc.Churn,
+					WriteDeadline: sc.WriteDeadline,
+					VersionBytes:  sc.VersionBytes,
 				})
 				pt := ScenarioPoint{
 					Lock:         name,
@@ -859,10 +687,6 @@ func runNativeScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint, 
 					pt.ReclaimedVersions = es.Reclaimed
 					pt.RetainedVersionsMax = es.MaxRetainedVersions
 					pt.RetainedBytesMax = es.MaxRetainedBytes
-				}
-				if sc.DedicatedWriters > 0 {
-					pt.Writers = dedicated
-					pt.Readers = w - dedicated
 				}
 				if cellStats != nil {
 					// The workers have joined: the block is quiescent, so
@@ -1005,7 +829,7 @@ func ScenarioTable(res *ScenarioResult) *stats.Table {
 		return t
 	}
 	hasAge, hasBatch, hasEpoch := false, false, false
-	hasShed := res.Scenario.WriteDeadline > 0 || res.Scenario.WriteDeadlineUs > 0
+	hasShed := res.Scenario.WriteDeadline > 0
 	for _, p := range res.Points {
 		if p.Age != nil {
 			hasAge = true
@@ -1056,14 +880,10 @@ func ScenarioTable(res *ScenarioResult) *stats.Table {
 		return fmt.Sprintf("%d", pick(h))
 	}
 	for _, p := range res.Points {
-		readPct := fmt.Sprintf("%.4g", p.ReadFraction*100)
-		if p.Readers > 0 || p.Writers > 0 {
-			readPct = fmt.Sprintf("%dr/%dw", p.Readers, p.Writers)
-		}
 		row := []string{
 			p.Lock,
 			fmt.Sprintf("%d", p.Workers),
-			readPct,
+			fmt.Sprintf("%.4g", p.ReadFraction*100),
 		}
 		if sharded {
 			row = append(row,

@@ -2,21 +2,28 @@ package harness
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
+// TestScenarioRegistryHasAllEntries pins the registry: the two RMR
+// sweeps and the four native scenarios, in registration order.  With
+// no default grids, every native scenario must name its own locks,
+// workers and read fractions.
 func TestScenarioRegistryHasAllEntries(t *testing.T) {
-	// The numbered experiments plus the engine-native scenarios (and
-	// the DSM contrast) must all be registered.
-	for _, name := range []string{
-		"throughput", "priority", "oversub", "rmr", "rmr-dsm",
-		"bursty-writers", "starvation", "writer-churn", "combine-batch",
-		"writer-shed", "age-frontier", "latency-grid",
-	} {
-		if _, ok := ScenarioByName(name); !ok {
-			t.Errorf("scenario %q not registered (have %v)", name, ScenarioNames())
+	want := []string{"rmr", "rmr-dsm", "writer-churn", "writer-shed", "age-frontier", "zipf-grid"}
+	if got := ScenarioNames(); !slices.Equal(got, want) {
+		t.Fatalf("ScenarioNames() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		sc, _ := ScenarioByName(name)
+		if sc.Sim != nil {
+			continue
+		}
+		if len(sc.Locks) == 0 || len(sc.Workers) == 0 || len(sc.ReadFractions) == 0 {
+			t.Errorf("scenario %s: locks %v, workers %v, read fractions %v — each must be named",
+				name, sc.Locks, sc.Workers, sc.ReadFractions)
 		}
 	}
 }
@@ -29,19 +36,17 @@ func TestSelectScenarios(t *testing.T) {
 	if len(all) != len(ScenarioNames()) {
 		t.Fatalf("all selected %d of %d", len(all), len(ScenarioNames()))
 	}
-	def, err := SelectScenarios("", ScenarioOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// There is no default selection: an empty request names nothing.
+	if _, err := SelectScenarios("", ScenarioOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "selects nothing") {
+		t.Fatalf("empty request not rejected: %v", err)
 	}
-	if len(def) != 2 || def[0].Name != "throughput" || def[1].Name != "priority" {
-		t.Fatalf("default selection = %v", def)
-	}
-	two, err := SelectScenarios("latency-grid, bursty-writers", ScenarioOptions{})
+	two, err := SelectScenarios("zipf-grid, rmr", ScenarioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Registration order, not request order.
-	if len(two) != 2 || two[0].Name != "bursty-writers" || two[1].Name != "latency-grid" {
+	if len(two) != 2 || two[0].Name != "rmr" || two[1].Name != "zipf-grid" {
 		t.Fatalf("subset selection = %v", two)
 	}
 	if _, err := SelectScenarios("no-such", ScenarioOptions{}); err == nil ||
@@ -50,17 +55,18 @@ func TestSelectScenarios(t *testing.T) {
 	}
 	// SelectScenarios must not disturb registration order (it is the
 	// presentation order everywhere).
-	if names := ScenarioNames(); names[0] != "throughput" {
+	if names := ScenarioNames(); names[0] != "rmr" {
 		t.Fatalf("registry order disturbed: %v", names)
 	}
 }
 
 func TestRunScenarioNativeGrid(t *testing.T) {
-	sc, _ := ScenarioByName("throughput")
-	sc.SampleEvery = 1 // 300 ops at the sparse default rate would leave write histograms empty
+	sc, _ := ScenarioByName("age-frontier")
+	sc.ReadFractions = []float64{0.5, 0.9, 0.99, 1.0}
+	sc.VersionBytes = 0 // plain writes: nothing is retired
 	res, err := RunScenario(sc, ScenarioOptions{
 		Seed:    1,
-		Locks:   []string{"MWSF", "sync.RWMutex"},
+		Locks:   []string{"MWSF/epoch", "sync.RWMutex"},
 		Workers: []int{2},
 		Ops:     300,
 	})
@@ -78,10 +84,12 @@ func TestRunScenarioNativeGrid(t *testing.T) {
 		if p.ReadFraction < 1 && p.WriteWait == nil {
 			t.Fatalf("mixed point missing write-wait histogram: %+v", p)
 		}
-		if p.ReadTotal != nil {
-			if err := p.ReadTotal.Validate(); err != nil {
-				t.Fatalf("invalid histogram: %v", err)
-			}
+		// Columns a flat, deadline-free, unversioned, uninstrumented
+		// run has no business carrying.
+		if p.Stripes != 0 || p.ShedOps != 0 || p.ShedRate != 0 || p.Counters != nil ||
+			p.RetiredVersions != 0 || p.ReclaimedVersions != 0 ||
+			p.RetainedVersionsMax != 0 || p.RetainedBytesMax != 0 {
+			t.Fatalf("stray columns on %+v", p)
 		}
 	}
 	// The result records the resolved grid.
@@ -91,78 +99,29 @@ func TestRunScenarioNativeGrid(t *testing.T) {
 }
 
 func TestRunScenarioRejectsDegenerateWorkerGrids(t *testing.T) {
-	sc, _ := ScenarioByName("throughput")
+	sc, _ := ScenarioByName("age-frontier")
 	if _, err := RunScenario(sc, ScenarioOptions{Workers: []int{0}}); err == nil {
 		t.Fatal("worker count 0 not rejected")
 	}
-	// A storm shape with a single worker cannot host both classes:
-	// running it would silently measure an all-writer workload.
-	storm, _ := ScenarioByName("starvation")
-	if _, err := RunScenario(storm, ScenarioOptions{Workers: []int{1},
-		Locks: []string{"MWSF"}}); err == nil {
-		t.Fatal("dedicated-writer scenario with 1 worker not rejected")
-	}
-	// And the clamp keeps at least one reader when the grid is valid
-	// but smaller than the writer count.
-	res, err := RunScenario(storm, ScenarioOptions{Quick: true,
-		Workers: []int{2}, Locks: []string{"MWSF"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.Points[0]; p.Writers != 1 || p.Readers != 1 {
-		t.Fatalf("clamp lost a class: %dw/%dr", p.Writers, p.Readers)
+	// There are no default grids: a native scenario with an empty
+	// axis would run no cell and look like an instant success.
+	for _, bad := range []Scenario{
+		{Name: "no-locks", Workers: []int{2}, ReadFractions: []float64{0.9}},
+		{Name: "no-workers", Locks: []string{"MWSF"}, ReadFractions: []float64{0.9}},
+		{Name: "no-fractions", Locks: []string{"MWSF"}, Workers: []int{2}},
+	} {
+		if _, err := RunScenario(bad, ScenarioOptions{}); err == nil ||
+			!strings.Contains(err.Error(), "names no locks") {
+			t.Errorf("%s: err = %v, want the empty-axis rejection", bad.Name, err)
+		}
 	}
 }
 
 func TestRunScenarioUnknownLock(t *testing.T) {
-	sc, _ := ScenarioByName("throughput")
+	sc, _ := ScenarioByName("age-frontier")
 	if _, err := RunScenario(sc, ScenarioOptions{Locks: []string{"NoSuchLock"}}); err == nil ||
 		!strings.Contains(err.Error(), "NoSuchLock") {
 		t.Fatalf("unknown lock not rejected: %v", err)
-	}
-}
-
-func TestRunScenarioBurstyMeasuresAge(t *testing.T) {
-	sc, _ := ScenarioByName("bursty-writers")
-	sc.Duration = 40 * time.Millisecond
-	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Locks: []string{"MWWP"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 {
-		t.Fatalf("got %d points", len(res.Points))
-	}
-	p := res.Points[0]
-	if p.Age == nil || p.Age.Count == 0 {
-		t.Fatal("bursty scenario did not measure age")
-	}
-	if p.WriteWait == nil || p.WriteWait.Count == 0 {
-		t.Fatal("bursty scenario did not measure write wait latency")
-	}
-	if p.Writers != 1 || p.Readers != 8 {
-		t.Fatalf("dedicated split not recorded: %dw/%dr", p.Writers, p.Readers)
-	}
-	if err := p.Age.Validate(); err != nil {
-		t.Fatalf("age histogram invalid: %v", err)
-	}
-}
-
-func TestRunScenarioStarvationProbe(t *testing.T) {
-	sc, _ := ScenarioByName("starvation")
-	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Quick: true,
-		Locks: []string{"MWWP", "MWRP"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLock := map[string]ScenarioPoint{}
-	for _, p := range res.Points {
-		byLock[p.Lock] = p
-		if p.ReadWait == nil || p.ReadWait.Count == 0 {
-			t.Fatalf("starvation probe lost its product (reader wait) for %s", p.Lock)
-		}
-	}
-	if len(byLock) != 2 {
-		t.Fatalf("points: %+v", res.Points)
 	}
 }
 
@@ -220,8 +179,7 @@ func TestRunScenarioWriterChurn(t *testing.T) {
 		// Exactly the combining variant carries a batch-size
 		// distribution, and it must account for every write passage.
 		// (Batch sizes > 1 are schedule-dependent — preemption
-		// pile-ups — so their presence is pinned by the recorded
-		// BENCH_1.json grid, not asserted here.)
+		// pile-ups — so they are not asserted here.)
 		if isCombine := strings.Contains(p.Lock, "/combine"); isCombine {
 			if p.BatchSize == nil {
 				t.Fatalf("%s: batch-size histogram missing", p.Lock)
@@ -245,30 +203,13 @@ func TestRunScenarioWriterChurn(t *testing.T) {
 	}
 }
 
-// TestRunScenarioCombineBatch: the combine-batch scenario sweeps the
-// three writer arbitrations over the churn shape at two read
-// fractions, the combiner's points carry the batch-size histogram,
-// and the rendered table carries the batch columns.  A trimmed op
-// budget keeps the -race run cheap; the full grid is the recorded
-// BENCH_1.json.
+// TestRunScenarioCombineBatch: the combiner's batch-size
+// distribution rides on writer-churn's MWSF/combine row — only there —
+// and the rendered table carries the three batch columns.  A trimmed
+// op budget keeps the -race run cheap.
 func TestRunScenarioCombineBatch(t *testing.T) {
-	sc, ok := ScenarioByName("combine-batch")
-	if !ok {
-		t.Fatal("combine-batch scenario not registered")
-	}
-	if !sc.Churn || sc.GOMAXPROCS != 2 || !sc.MeasureAge {
-		t.Fatalf("combine-batch lost its shape: churn=%v gomaxprocs=%d age=%v",
-			sc.Churn, sc.GOMAXPROCS, sc.MeasureAge)
-	}
-	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Ops: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPoints := len(ChurnLockNames()) * len(sc.ReadFractions)
-	if len(res.Points) != wantPoints {
-		t.Fatalf("got %d points, want %d", len(res.Points), wantPoints)
-	}
-	sawBatch, sawAge := false, false
+	res := runRegistered(t, "writer-churn", ScenarioOptions{Seed: 1, Ops: 32})
+	sawBatch := false
 	for _, p := range res.Points {
 		combine := strings.Contains(p.Lock, "/combine")
 		if combine && p.BatchSize != nil {
@@ -277,20 +218,14 @@ func TestRunScenarioCombineBatch(t *testing.T) {
 		if !combine && p.BatchSize != nil {
 			t.Fatalf("%s carries a batch-size histogram", p.Lock)
 		}
-		if p.Age != nil {
-			sawAge = true
-		}
 	}
 	if !sawBatch {
 		t.Fatal("no combiner point carries a batch-size histogram")
 	}
-	if !sawAge {
-		t.Fatal("no point carries the read-view age probe (mixed fraction missing?)")
-	}
 	out := ScenarioTable(res).Render()
-	for _, col := range []string{"batch p50", "batch p99", "batch max", "age p50"} {
+	for _, col := range []string{"batch p50", "batch p99", "batch max"} {
 		if !strings.Contains(out, col) {
-			t.Fatalf("combine-batch table missing %q column:\n%s", col, out)
+			t.Fatalf("writer-churn table missing %q column:\n%s", col, out)
 		}
 	}
 }
@@ -298,7 +233,7 @@ func TestRunScenarioCombineBatch(t *testing.T) {
 func TestRunScenarioSimThroughCore(t *testing.T) {
 	sc, _ := ScenarioByName("rmr")
 	sc.Sim = &SimShape{Systems: []string{"fig1-swwp", "centralized"}, Attempts: 4}
-	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Quick: true})
+	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Quick: true, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +244,7 @@ func TestRunScenarioSimThroughCore(t *testing.T) {
 		if p.System == "" || p.ReaderRMR == nil || p.WriterRMR == nil {
 			t.Fatalf("sim point incomplete: %+v", p)
 		}
-		if p.Lock != "" || p.ReadWait != nil {
+		if p.Lock != "" || p.ReadWait != nil || p.Counters != nil {
 			t.Fatalf("sim point carries native metrics: %+v", p)
 		}
 	}
@@ -317,22 +252,14 @@ func TestRunScenarioSimThroughCore(t *testing.T) {
 
 func TestRunScenarioPinsAndRestoresGOMAXPROCS(t *testing.T) {
 	before := runtime.GOMAXPROCS(0)
-	sc, _ := ScenarioByName("oversub")
-	res, err := RunScenario(sc, ScenarioOptions{
-		Seed: 1, Quick: true, Locks: []string{"MWSF"}, Workers: []int{8},
+	res := runRegistered(t, "writer-churn", ScenarioOptions{
+		Seed: 1, Locks: []string{"MWSF"}, Workers: []int{8}, Ops: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.GOMAXPROCS != 2 {
-		t.Fatalf("oversub scenario ran at GOMAXPROCS=%d, want 2", res.GOMAXPROCS)
+		t.Fatalf("writer-churn ran at GOMAXPROCS=%d, want 2", res.GOMAXPROCS)
 	}
 	if after := runtime.GOMAXPROCS(0); after != before {
 		t.Fatalf("GOMAXPROCS not restored: %d -> %d", before, after)
-	}
-	// Duration mode: -quick must have trimmed the deadline.
-	if res.Scenario.DurationMs > 25 {
-		t.Fatalf("quick did not trim duration: %dms", res.Scenario.DurationMs)
 	}
 }
 
@@ -341,12 +268,11 @@ func TestQuickTrimShrinksEveryAxis(t *testing.T) {
 		Workers:       []int{1, 2, 4},
 		ReadFractions: []float64{0.5, 0.9, 0.99},
 		OpsPerWorker:  100000,
-		Duration:      time.Second,
 		Sim:           &SimShape{Attempts: 16, Points: [][2]int{{1, 1}, {1, 2}, {1, 4}}},
 	}
 	q := quickTrim(sc)
 	if len(q.Workers) != 1 || len(q.ReadFractions) != 2 || q.OpsPerWorker != 500 ||
-		q.Duration != 25*time.Millisecond || q.Sim.Attempts != 4 || len(q.Sim.Points) != 2 {
+		q.Sim.Attempts != 4 || len(q.Sim.Points) != 2 {
 		t.Fatalf("quickTrim left an axis large: %+v", q)
 	}
 	// The original is untouched (Sim is copied, not aliased).
@@ -355,34 +281,11 @@ func TestQuickTrimShrinksEveryAxis(t *testing.T) {
 	}
 }
 
-// TestQuickTrimsDefaultWorkerGrid: a scenario with no worker grid of
-// its own (throughput) gets the default doubling grid, and -quick must
-// trim that grid too.
-func TestQuickTrimsDefaultWorkerGrid(t *testing.T) {
-	sc, _ := ScenarioByName("throughput")
-	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Quick: true, Ops: 50, Locks: []string{"MWSF"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := map[int]bool{}
-	for _, p := range res.Points {
-		ran[p.Workers] = true
-	}
-	if len(res.Scenario.Workers) != 1 || len(ran) != 1 {
-		t.Fatalf("-quick throughput ran worker grid %v (%d worker counts in its points), want one",
-			res.Scenario.Workers, len(ran))
-	}
-}
-
 func TestScenarioTableNativeColumns(t *testing.T) {
-	sc, _ := ScenarioByName("bursty-writers")
-	sc.Duration = 30 * time.Millisecond
-	res, err := RunScenario(sc, ScenarioOptions{Seed: 1, Locks: []string{"MWWP", "MWRP"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRegistered(t, "age-frontier", ScenarioOptions{Seed: 1, Ops: 400,
+		Locks: []string{"MWWP", "MWRP"}})
 	out := ScenarioTable(res).Render()
-	for _, col := range []string{"rd wait p99.9", "wr wait p99", "age p99", "MWWP", "8r/1w"} {
+	for _, col := range []string{"rd wait p99.9", "wr wait p99", "age p99", "MWWP", " 95 "} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("table missing %q:\n%s", col, out)
 		}

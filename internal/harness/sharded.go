@@ -9,8 +9,8 @@ import (
 	"rwsync/rwlock"
 )
 
-// ShardedLockNames is the default lock set of the sharded (serving
-// tier) scenarios: each reader-fast-path protocol in its two grid
+// ShardedLockNames is the lock set of the zipf-grid (serving tier)
+// scenario: each reader-fast-path protocol in its two grid
 // builds — the full wrapper with private reader state, and the
 // 16-byte slim lock on the package arena — plus the runtime baseline.
 // The pairs are what the bytes/lock column is about: same protocol,
@@ -84,10 +84,6 @@ func measureBytesPerLock(build func() rwlock.RWLock, n int) float64 {
 // resolved (resolveScenario).
 func runShardedScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint, error) {
 	builders := NativeLocks()
-	fractions := sc.ReadFractions
-	if len(fractions) == 0 {
-		fractions = []float64{0.9}
-	}
 	skews := sc.ZipfS
 	if len(skews) == 0 {
 		skews = []float64{0}
@@ -99,7 +95,7 @@ func runShardedScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint,
 			bpl := measureBytesPerLock(build, stripes)
 			for _, s := range skews {
 				for _, w := range sc.Workers {
-					for _, f := range fractions {
+					for _, f := range sc.ReadFractions {
 						// Instrumented cells get a fresh counter block
 						// shared by every stripe lock of the cell's grid,
 						// so the block aggregates the whole map.  The
@@ -116,7 +112,6 @@ func runShardedScenario(sc Scenario, seed int64, metrics bool) ([]ScenarioPoint,
 							Workers:      w,
 							ReadFraction: f,
 							OpsPerWorker: sc.OpsPerWorker,
-							Duration:     sc.Duration,
 							Stripes:      stripes,
 							Keys:         sc.Keys,
 							ZipfS:        s,

@@ -53,19 +53,20 @@ func TestMeasureBytesPerLock(t *testing.T) {
 
 // TestRunShardedScenarioShape: every point of a sharded run carries
 // the grid-size, skew, footprint, and hot-key columns — the invariant
-// the CI shape check and the report validator both rest on.
+// the CI shape check rests on.
 func TestRunShardedScenarioShape(t *testing.T) {
 	res, err := RunScenario(Scenario{
-		Name:         "sharded-shape",
-		Title:        "shape probe",
-		Locks:        []string{"SlimBravo", "sync.RWMutex"},
-		Workers:      []int{4},
-		OpsPerWorker: 400,
-		Stripes:      []int{4, 64},
-		ZipfS:        []float64{1.07},
-		Keys:         512,
-		SampleEvery:  4,
-		MeasureAge:   true,
+		Name:          "sharded-shape",
+		Title:         "shape probe",
+		Locks:         []string{"SlimBravo", "sync.RWMutex"},
+		Workers:       []int{4},
+		ReadFractions: []float64{0.9},
+		OpsPerWorker:  400,
+		Stripes:       []int{4, 64},
+		ZipfS:         []float64{1.07},
+		Keys:          512,
+		SampleEvery:   4,
+		MeasureAge:    true,
 	}, ScenarioOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -99,20 +100,21 @@ func TestRunShardedScenarioShape(t *testing.T) {
 }
 
 func TestRunShardedScenarioRejectsBadGrids(t *testing.T) {
-	if _, err := RunScenario(Scenario{
-		Name: "bad", Stripes: []int{0},
-	}, ScenarioOptions{Seed: 1}); err == nil {
-		t.Error("stripe count 0 accepted")
+	grid := func(stripes int, lock string, workers int) Scenario {
+		return Scenario{Name: "bad", Stripes: []int{stripes}, Locks: []string{lock},
+			Workers: []int{workers}, ReadFractions: []float64{0.9}}
 	}
-	if _, err := RunScenario(Scenario{
-		Name: "bad", Stripes: []int{4}, Locks: []string{"NoSuchLock"},
-	}, ScenarioOptions{Seed: 1}); err == nil {
-		t.Error("unknown lock accepted on the sharded path")
+	if _, err := RunScenario(grid(0, "SlimBravo", 2), ScenarioOptions{Seed: 1}); err == nil ||
+		!strings.Contains(err.Error(), "stripe count 0") {
+		t.Errorf("stripe count 0: err = %v", err)
 	}
-	if _, err := RunScenario(Scenario{
-		Name: "bad", Stripes: []int{4}, Workers: []int{0},
-	}, ScenarioOptions{Seed: 1}); err == nil {
-		t.Error("worker count 0 accepted on the sharded path")
+	if _, err := RunScenario(grid(4, "NoSuchLock", 2), ScenarioOptions{Seed: 1}); err == nil ||
+		!strings.Contains(err.Error(), "NoSuchLock") {
+		t.Errorf("unknown lock on the sharded path: err = %v", err)
+	}
+	if _, err := RunScenario(grid(4, "SlimBravo", 0), ScenarioOptions{Seed: 1}); err == nil ||
+		!strings.Contains(err.Error(), "worker count 0") {
+		t.Errorf("worker count 0 on the sharded path: err = %v", err)
 	}
 }
 
@@ -142,12 +144,13 @@ func TestQuickTrimKeepsStripeAxis(t *testing.T) {
 // sharded scenarios and are ignored for flat ones.
 func TestScenarioOptionsStripeOverride(t *testing.T) {
 	res, err := RunScenario(Scenario{
-		Name:         "override-probe",
-		Locks:        []string{"SlimEpoch"},
-		Workers:      []int{2},
-		OpsPerWorker: 200,
-		Stripes:      []int{1 << 20},
-		Keys:         64,
+		Name:          "override-probe",
+		Locks:         []string{"SlimEpoch"},
+		Workers:       []int{2},
+		ReadFractions: []float64{0.9},
+		OpsPerWorker:  200,
+		Stripes:       []int{1 << 20},
+		Keys:          64,
 	}, ScenarioOptions{Seed: 1, Stripes: []int{8}, ZipfS: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
@@ -158,17 +161,18 @@ func TestScenarioOptionsStripeOverride(t *testing.T) {
 		}
 	}
 	flat, err := RunScenario(Scenario{
-		Name:         "flat-probe",
-		Locks:        []string{"MWSF"},
-		Workers:      []int{2},
-		OpsPerWorker: 200,
+		Name:          "flat-probe",
+		Locks:         []string{"MWSF"},
+		Workers:       []int{2},
+		ReadFractions: []float64{0.9},
+		OpsPerWorker:  200,
 	}, ScenarioOptions{Seed: 1, Stripes: []int{8}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range flat.Points {
-		if p.Stripes != 0 {
-			t.Fatalf("flat scenario grew a stripe axis: %+v", p)
+		if p.Stripes != 0 || p.ZipfS != 0 || p.BytesPerLock != 0 || p.HotReadOps != 0 {
+			t.Fatalf("flat scenario grew sharded columns: %+v", p)
 		}
 	}
 }

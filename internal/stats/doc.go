@@ -15,8 +15,7 @@
 //   - Fixed footprint: one array of log-spaced buckets (32 linear
 //     sub-buckets per octave, HDR-histogram layout), about 15 KiB,
 //     regardless of how many observations are recorded.  Sorting a
-//     sample of every op, by contrast, grows without bound on
-//     duration-based runs.
+//     sample of every op, by contrast, grows with the run.
 //   - Allocation-free recording: Record is bit-twiddling plus an
 //     array increment; TestHistogramRecordDoesNotAllocate pins this
 //     with testing.AllocsPerRun.
@@ -29,8 +28,7 @@
 // nearest rank; the bucket geometry bounds their error at ~3.1% of
 // the value (one part in 32), far below run-to-run latency noise.
 // Min, max, mean and standard deviation are tracked exactly alongside
-// the buckets.  HistSnapshot is the serializable form carried by the
-// rwbench -json schema: headline quantiles plus sparse bucket counts,
-// with Validate checking internal consistency when a BENCH_*.json
-// record is read back.
+// the buckets.  HistSnapshot is the serializable form carried by
+// rwbench -json: headline quantiles plus sparse bucket counts, so a
+// consumer can re-derive any quantile from the output.
 package stats

@@ -253,50 +253,3 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 	}
 	return s
 }
-
-// Validate checks a snapshot's internal consistency (as read back
-// from a BENCH_*.json record): counts must agree with the bucket
-// sums, quantiles must be ordered and inside [Min, Max], bucket
-// indices must be in range and strictly increasing.
-func (s *HistSnapshot) Validate() error {
-	if s == nil {
-		return nil
-	}
-	if s.Count <= 0 {
-		return fmt.Errorf("histogram: count %d", s.Count)
-	}
-	if s.Min > s.Max {
-		return fmt.Errorf("histogram: min %d > max %d", s.Min, s.Max)
-	}
-	for _, q := range [][2]int64{{s.P50, s.P90}, {s.P90, s.P99}, {s.P99, s.P999}} {
-		if q[0] > q[1] {
-			return fmt.Errorf("histogram: quantiles out of order (%d > %d)", q[0], q[1])
-		}
-	}
-	if s.P50 < s.Min || s.P999 > s.Max {
-		return fmt.Errorf("histogram: quantiles outside [min, max]")
-	}
-	// Snapshot always emits buckets for a non-empty histogram, so a
-	// bare quantile summary means the bucket data was stripped or
-	// lost somewhere — exactly the drift this check exists to catch.
-	if len(s.Bucket) == 0 {
-		return fmt.Errorf("histogram: count %d but no buckets", s.Count)
-	}
-	var sum int64
-	prev := int64(-1)
-	for _, b := range s.Bucket {
-		idx, c := b[0], b[1]
-		if idx <= prev || idx >= histBuckets {
-			return fmt.Errorf("histogram: bad bucket index %d", idx)
-		}
-		if c <= 0 {
-			return fmt.Errorf("histogram: bucket %d has count %d", idx, c)
-		}
-		prev = idx
-		sum += c
-	}
-	if sum != s.Count {
-		return fmt.Errorf("histogram: bucket sum %d != count %d", sum, s.Count)
-	}
-	return nil
-}

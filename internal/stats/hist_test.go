@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -147,15 +148,12 @@ func TestHistogramSummaryMatchesSummarize(t *testing.T) {
 	}
 }
 
-func TestHistSnapshotRoundTripAndValidate(t *testing.T) {
+func TestHistSnapshotRoundTrip(t *testing.T) {
 	var h Histogram
 	for i := int64(0); i < 1000; i++ {
 		h.Record(i * i)
 	}
 	s := h.Snapshot()
-	if err := s.Validate(); err != nil {
-		t.Fatalf("fresh snapshot invalid: %v", err)
-	}
 	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -164,32 +162,15 @@ func TestHistSnapshotRoundTripAndValidate(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-tripped snapshot invalid: %v", err)
-	}
-	if back.Count != s.Count || back.P999 != s.P999 || len(back.Bucket) != len(s.Bucket) {
+	if !reflect.DeepEqual(&back, s) {
 		t.Fatalf("round trip lost data: %+v vs %+v", back, s)
 	}
-	// Corruptions the validator must catch.
-	for name, corrupt := range map[string]func(*HistSnapshot){
-		"zero count":       func(x *HistSnapshot) { x.Count = 0 },
-		"min>max":          func(x *HistSnapshot) { x.Min = x.Max + 1 },
-		"p50>p90":          func(x *HistSnapshot) { x.P50 = x.P90 + 1; x.P99 = x.P50 + 1; x.P999 = x.P99 + 1 },
-		"bucket mismatch":  func(x *HistSnapshot) { x.Bucket[0][1]++ },
-		"bad index":        func(x *HistSnapshot) { x.Bucket[len(x.Bucket)-1][0] = histBuckets },
-		"stripped buckets": func(x *HistSnapshot) { x.Bucket = nil },
-	} {
-		var c HistSnapshot
-		if err := json.Unmarshal(raw, &c); err != nil {
-			t.Fatal(err)
-		}
-		corrupt(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: corruption not detected", name)
-		}
+	// The sparse buckets carry every observation.
+	var sum int64
+	for _, b := range back.Bucket {
+		sum += b[1]
 	}
-	var nilSnap *HistSnapshot
-	if err := nilSnap.Validate(); err != nil {
-		t.Fatal("nil snapshot must validate (optional metric absent)")
+	if sum != back.Count || back.Count != 1000 {
+		t.Fatalf("buckets hold %d of %d observations", sum, back.Count)
 	}
 }

@@ -2,21 +2,19 @@
 // against the native rwlock implementations and measures throughput,
 // per-operation latency distributions and writer-visibility age.  It
 // is the measurement substrate of the scenario engine
-// (internal/harness.RunScenario) and, through it, of the native
-// experiments (E7 throughput, E8 priority latency, E12
-// oversubscription, and the storm/latency-grid scenarios).
+// (internal/harness.RunScenario) and, through it, of rwbench's native
+// scenarios (writer-churn, writer-shed, age-frontier and, over a
+// striped map, zipf-grid).
 //
-// A Config fixes the goroutine count, read fraction (or a dedicated-
-// writer split, optionally bursty, for the storm shapes), per-worker
-// operation count or deadline, busy-work inside and outside the
-// critical section, and a seed, so any measurement can be replayed
-// exactly.  The protected datum is a plain (non-atomic) cell mutated
-// by writers and read by readers: running any workload under `go test
-// -race` therefore doubles as a mutual-exclusion check on the lock
-// under test — the native counterpart of the P1 verification that
-// internal/check and internal/mc perform on the simulator, and the
-// reason the BRAVO wrappers (which have no simulator model) are still
-// race-verified.
+// A Config fixes the goroutine count, read fraction, per-worker
+// operation count, busy-work inside and outside the critical section,
+// and a seed, so any measurement can be replayed exactly.  The
+// protected datum is a plain (non-atomic) cell mutated by writers and
+// read by readers: running any workload under `go test -race`
+// therefore doubles as a mutual-exclusion check on the lock under test
+// — the native counterpart of the P1 verification that internal/check
+// and internal/mc perform on the simulator, and the reason the BRAVO
+// wrappers (which have no simulator model) are still race-verified.
 //
 // # Sampling design
 //
@@ -42,9 +40,9 @@
 // the guaranteed-cold op 0 — goroutine start, cache-cold lock — out
 // of most workers' samples, so small smoke runs aren't dominated by
 // startup cost.)  The caveat is periodicity: a workload whose latency
-// oscillated with a period dividing k could alias, which is why the
-// storm scenarios — whose write bursts ARE periodic — set SampleEvery
-// to 1 and pay the (then-irrelevant) overhead instead.
+// oscillated with a period dividing k could alias.  The scenarios whose
+// product is a tail (writer-churn, writer-shed, age-frontier) set
+// SampleEvery to 1 and pay the overhead instead.
 //
 // # The age probe
 //

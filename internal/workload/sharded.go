@@ -28,10 +28,8 @@ type ShardedConfig struct {
 	Workers int
 	// ReadFraction is the probability an op is a read.
 	ReadFraction float64
-	// OpsPerWorker is each worker's op budget; Duration > 0 overrides
-	// it with a deadline (see Config.Duration for why).
+	// OpsPerWorker is each worker's op budget.
 	OpsPerWorker int
-	Duration     time.Duration
 	// Stripes is the map's stripe count (power of two; see rwmap).
 	Stripes int
 	// Keys is the key-space size ranks are drawn from; 0 defaults to
@@ -108,15 +106,10 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 		readOps    atomic.Int64
 		writeOps   atomic.Int64
 		hotReadOps atomic.Int64
-		deadline   atomic.Bool
 	)
 	hists := make([]*workerHists, cfg.Workers)
 	for i := range hists {
 		hists[i] = new(workerHists)
-	}
-	if cfg.Duration > 0 {
-		timer := time.AfterFunc(cfg.Duration, func() { deadline.Store(true) })
-		defer timer.Stop()
 	}
 
 	var wg sync.WaitGroup
@@ -165,18 +158,7 @@ func RunSharded(cfg ShardedConfig) *ShardedResult {
 				spin(rWork, &sink)
 			}
 
-			for i := 0; ; i++ {
-				if cfg.Duration > 0 {
-					// Every worker completes one operation before it looks
-					// at the deadline: the timer starts before the workers
-					// do, and a worker first scheduled after it fired would
-					// otherwise leave the point with no operations at all.
-					if i > 0 && deadline.Load() {
-						break
-					}
-				} else if i >= cfg.OpsPerWorker {
-					break
-				}
+			for i := 0; i < cfg.OpsPerWorker; i++ {
 				k := zipf.Next()
 				write := rng.Float64() >= cfg.ReadFraction
 				sample := (i+phase)%cfg.SampleEvery == 0

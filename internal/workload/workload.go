@@ -18,8 +18,8 @@ import (
 // amortizes to well under a nanosecond per operation — invisible even
 // in the ~50 ns/op read-heavy grids — while a normal run still
 // collects thousands of samples per class.  Scenarios whose product
-// is the latency distribution itself (priority, latency-grid, bursty
-// storms) set a denser rate explicitly.
+// is a latency or age tail (writer-churn, writer-shed, age-frontier)
+// set a denser rate explicitly.
 const DefaultSampleEvery = 64
 
 // Config describes one workload run.
@@ -29,19 +29,8 @@ type Config struct {
 	// ReadFraction is the probability that a worker's next operation
 	// is a read (1.0 = read-only, 0.0 = write-only).
 	ReadFraction float64
-	// DedicatedWriters, if > 0, overrides the mixed model: that many
-	// workers write exclusively and the rest read exclusively.
-	DedicatedWriters int
 	// OpsPerWorker is how many operations each worker performs.
 	OpsPerWorker int
-	// Duration, if > 0, overrides OpsPerWorker: every worker issues
-	// operations until the deadline passes, and at least one however
-	// short the deadline (a point never reports zero operations).
-	// This is the right mode
-	// for oversubscribed runs (Workers ≫ GOMAXPROCS), where a fixed
-	// per-worker op count would let the measurement tail off as
-	// workers finish at very different times.
-	Duration time.Duration
 	// CSWork is the amount of busy work (loop iterations) inside the
 	// critical section, modeling the protected operation's cost.
 	CSWork int
@@ -61,25 +50,13 @@ type Config struct {
 	// EVERY write's critical section — the probe's cost must be
 	// opt-in, not silently folded into unrelated measurements.
 	MeasureAge bool
-	// WriterBurstLen, if > 0, makes dedicated writers bursty: each
-	// writer issues WriterBurstLen back-to-back writes (no think
-	// time inside the burst), then pauses for WriterBurstPause
-	// iterations of busy work before the next burst.  Requires
-	// DedicatedWriters > 0; readers are unaffected.  This is the
-	// "administrative update storm" shape: long read-mostly quiet,
-	// then a clump of writes whose wait latency and visibility age
-	// are the product.
-	WriterBurstLen int
-	// WriterBurstPause is the busy-work pause between bursts
-	// (default 4096 iterations when WriterBurstLen > 0).
-	WriterBurstPause int
 	// Yield makes every worker yield to the scheduler after each
-	// operation (outside the timed window).  Storm-shaped scenarios
-	// need it when goroutines can outnumber GOMAXPROCS: a non-stop
-	// reader loop otherwise runs whole preemption quanta (~10ms)
-	// unbroken, so a short run degenerates into sequential per-worker
-	// phases and the probes measure scheduler quanta, not the lock —
-	// the same reason bench_test.go's E8 storm readers yield.
+	// operation (outside the timed window).  Scenarios need it when
+	// goroutines can outnumber GOMAXPROCS: a non-stop reader loop
+	// otherwise runs whole preemption quanta (~10ms) unbroken, so a
+	// short run degenerates into sequential per-worker phases and the
+	// probes measure scheduler quanta, not the lock — the same reason
+	// bench_test.go's E8 storm readers yield.
 	Yield bool
 	// WriteDeadline, if > 0, gives every write a per-op budget: the
 	// write acquires through the lock's LockCtx (the deadline-aware
@@ -220,16 +197,12 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = DefaultSampleEvery
 	}
-	if cfg.WriterBurstLen > 0 && cfg.WriterBurstPause <= 0 {
-		cfg.WriterBurstPause = 4096
-	}
 
 	var (
 		shared   sharedCell // guarded by l
 		readOps  atomic.Int64
 		writeOps atomic.Int64
 		shedOps  atomic.Int64
-		deadline atomic.Bool
 	)
 
 	// The deadline-aware write path needs the lock's LockCtx; assert
@@ -250,20 +223,13 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 		retirer, _ = l.(rwlock.VersionRetirer)
 	}
 
-	// Preallocate every worker's sample buffers before the clock (and
-	// the deadline timer) starts so no allocation happens on the
-	// measured path.
+	// Preallocate every worker's sample buffers before the clock starts
+	// so no allocation happens on the measured path.
 	hists := make([]*workerHists, cfg.Workers)
 	for i := range hists {
 		hists[i] = new(workerHists)
 	}
-	// The clock starts before the deadline timer, so a duration-mode
-	// run's Elapsed is never shorter than Duration.
 	start := time.Now()
-	if cfg.Duration > 0 {
-		timer := time.AfterFunc(cfg.Duration, func() { deadline.Store(true) })
-		defer timer.Stop()
-	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -273,9 +239,6 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
 			var sink int64
 			h := hists[id]
-			isDedicatedWriter := cfg.DedicatedWriters > 0 && id < cfg.DedicatedWriters
-			dedicated := cfg.DedicatedWriters > 0
-			bursty := isDedicatedWriter && cfg.WriterBurstLen > 0
 			// Phase-offset the systematic sample per worker so the
 			// guaranteed-cold op 0 (goroutine start, cache-cold lock)
 			// is not in every worker's sample set.  Derived from the
@@ -332,12 +295,7 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 			// touched by one goroutine at a time, with the lane
 			// channel providing the happens-before edge.
 			runOp := func(i int) {
-				var write bool
-				if dedicated {
-					write = isDedicatedWriter
-				} else {
-					write = rng.Float64() >= cfg.ReadFraction
-				}
+				write := rng.Float64() >= cfg.ReadFraction
 				sample := (i+phase)%cfg.SampleEvery == 0
 				var t0 time.Time
 				if sample {
@@ -411,21 +369,7 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 			if cfg.Churn {
 				lane = make(chan struct{}, 1)
 			}
-			for i := 0; ; i++ {
-				if cfg.Duration > 0 {
-					// Every worker completes one operation before it looks
-					// at the deadline: the timer starts before the workers
-					// do, and a worker first scheduled after it fired would
-					// otherwise leave the point with no operations at all.
-					if i > 0 && deadline.Load() {
-						break
-					}
-				} else if i >= cfg.OpsPerWorker {
-					break
-				}
-				if bursty && i%cfg.WriterBurstLen == 0 {
-					spin(cfg.WriterBurstPause, &sink)
-				}
+			for i := 0; i < cfg.OpsPerWorker; i++ {
 				if cfg.Churn {
 					op := i
 					go func() {
@@ -436,9 +380,7 @@ func Run(l rwlock.RWLock, cfg Config) *Result {
 				} else {
 					runOp(i)
 				}
-				if !bursty {
-					spin(cfg.ThinkWork, &sink)
-				}
+				spin(cfg.ThinkWork, &sink)
 				if cfg.Yield {
 					runtime.Gosched()
 				}

@@ -131,13 +131,8 @@ type Epoch struct {
 // its own cache line (the padding the false-sharing audit asserts) and
 // gives the writer's grace scan the package's spin-then-park wait for
 // free.
-// idx is the slot's registry index (the fast-path RToken payload),
-// written once at registration; the trailing pad keeps it off the next
-// slot's line in case slots are ever allocated contiguously.
 type epochSlot struct {
 	cell waitCell
-	idx  int64
-	_    [56]byte
 }
 
 // epochPrivSlot is one P's entry in the first-level slot cache: a
@@ -256,7 +251,7 @@ func NewEpoch(inner RWLock, opts ...Option) *Epoch {
 		if len(cur) >= epochMaxSlots {
 			return (*epochSlot)(nil) // cap reached: caller takes the slow path
 		}
-		s := &epochSlot{idx: int64(len(cur))}
+		s := new(epochSlot)
 		s.cell.setStats(st)
 		next := make([]*epochSlot, len(cur)+1)
 		copy(next, cur)
@@ -364,7 +359,7 @@ func (e *Epoch) tryFast() (RToken, bool) {
 		if st := e.lstats; st != nil {
 			st.ReadAcquires.Add(1)
 		}
-		return RToken{side: epochFastSide, id: s.idx, eslot: s}, true
+		return RToken{side: epochFastSide, eslot: s}, true
 	}
 	// A writer advanced between stamp and recheck (or an older even
 	// epoch ended): back out without entering.  The wake matters — the

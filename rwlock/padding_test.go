@@ -74,16 +74,12 @@ func TestReaderTablePadding(t *testing.T) {
 
 // TestEpochSlotPadding: the stamp word (the slot's embedded cell) is
 // the word the zero-RMW read passage exists for — a reader's stamp
-// must dirty only its own line.  idx is read-only after registration
-// but still must not pull a neighbor's stamp onto its line, hence the
+// must dirty only its own line, hence the cell at offset 0 and the
 // whole-line slot size.
 func TestEpochSlotPadding(t *testing.T) {
 	var s epochSlot
 	if off := unsafe.Offsetof(s.cell); off != 0 {
 		t.Errorf("epochSlot.cell at offset %d, want 0", off)
-	}
-	if off := unsafe.Offsetof(s.idx); off%cacheLine != 0 {
-		t.Errorf("epochSlot.idx at offset %d, want a %d-byte boundary (must not share the stamp word's line)", off, cacheLine)
 	}
 	if sz := unsafe.Sizeof(s); sz%cacheLine != 0 {
 		t.Errorf("sizeof(epochSlot) = %d, not a multiple of %d", sz, cacheLine)

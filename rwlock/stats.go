@@ -196,8 +196,8 @@ func summarize(h *stats.Histogram) LatencySummary {
 // taken under traffic is a consistent lower bound: invariants like
 // ReclaimedVersions <= RetiredVersions hold in every snapshot.
 //
-// The json tags are the rwbench -metrics schema (additive fields
-// under schema_version 2) and the rwstats exporters' field names.
+// The json tags are the field names of the "counters" object in
+// rwbench -json -metrics output and of the rwstats exporters.
 type LockStatsSnapshot struct {
 	ReadAcquires   uint64 `json:"read_acquires"`
 	ReadContended  uint64 `json:"read_contended"`
@@ -283,8 +283,7 @@ func (s *LockStats) Snapshot() LockStatsSnapshot {
 // CheckCoherence verifies the snapshot's cross-counter invariants.
 // The full set is guaranteed at quiescence (no acquisition in
 // flight); the harness asserts it after every instrumented scenario
-// cell and the rwbench validator re-asserts it on serialized records,
-// so the instrumentation is itself tested.  A subset — the pairs
+// cell, so the instrumentation is itself tested.  A subset — the pairs
 // whose write sites and Snapshot's load order are both arranged for
 // it (reclaimed <= retired, unparks <= parks, read contention,
 // batch accounting, quantile ordering) — additionally holds in every
