@@ -535,11 +535,15 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 }
 
 // resolveScenario returns the scenario RunScenario runs for sc under
-// opts, or the reason no cell of it can run: the overrides applied
-// (so the result records what ran), -quick's trim applied, and every
-// lock, system, worker count and stripe count checked.
-// SelectScenarios runs the same check over a whole selection.
+// opts, or the reason no cell of it can run: -quick's trim applied,
+// then the overrides (so an explicit grid wins over the trim, and the
+// result records what ran), and every lock, system, worker count and
+// stripe count checked.  SelectScenarios runs the same check over a
+// whole selection.
 func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
+	if opts.Quick {
+		sc = quickTrim(sc)
+	}
 	if len(opts.Locks) > 0 {
 		sc.Locks = opts.Locks
 	}
@@ -560,9 +564,6 @@ func resolveScenario(sc Scenario, opts ScenarioOptions) (Scenario, error) {
 		if len(opts.ZipfS) > 0 {
 			sc.ZipfS = opts.ZipfS
 		}
-	}
-	if opts.Quick {
-		sc = quickTrim(sc)
 	}
 	if sc.Sim != nil {
 		builders := Builders()

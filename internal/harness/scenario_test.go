@@ -281,6 +281,28 @@ func TestQuickTrimShrinksEveryAxis(t *testing.T) {
 	}
 }
 
+// TestQuickKeepsExplicitGrid: -quick trims only the axes the caller
+// left to the scenario; an explicit worker list or op count wins.
+func TestQuickKeepsExplicitGrid(t *testing.T) {
+	sc, _ := ScenarioByName("age-frontier")
+	got, err := resolveScenario(sc, ScenarioOptions{Quick: true, Workers: []int{1, 2, 4}, Ops: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Workers, []int{1, 2, 4}) || got.OpsPerWorker != 2000 {
+		t.Fatalf("-quick with -workers 1,2,4 -ops 2000 resolved to workers %v, %d ops per worker",
+			got.Workers, got.OpsPerWorker)
+	}
+	// Without the overrides -quick still trims both axes.
+	got, err = resolveScenario(sc, ScenarioOptions{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Workers) != 1 || got.OpsPerWorker != 500 {
+		t.Fatalf("-quick alone resolved to workers %v, %d ops per worker", got.Workers, got.OpsPerWorker)
+	}
+}
+
 func TestScenarioTableNativeColumns(t *testing.T) {
 	res := runRegistered(t, "age-frontier", ScenarioOptions{Seed: 1, Ops: 400,
 		Locks: []string{"MWWP", "MWRP"}})

@@ -72,7 +72,8 @@ func oversubHammer(t *testing.T, l RWLock, writers, readers, iters int) {
 }
 
 // TestOversubscribedStressAllLocks: 64 workers on 2 Ps, every lock in
-// the package, bare and instrumented.
+// the package, bare and instrumented (the Slim locks, which take no
+// options, once each).
 func TestOversubscribedStressAllLocks(t *testing.T) {
 	underSmallGOMAXPROCS(t, 2)
 	iters := 300
@@ -94,58 +95,68 @@ func TestOversubscribedStressAllLocks(t *testing.T) {
 			})
 		}
 	}
+	for _, b := range slimBuilds() {
+		t.Run(b.name, func(t *testing.T) { oversubHammer(t, b.mk(), 8, 56, iters) })
+	}
 }
 
 // TestOversubTokenTransfer: tokens acquired on one goroutine and
 // released on another, under oversubscription.  The releasing
 // goroutine's Unlock is the wake site for parked waiters, so this
-// pins that wakeups survive the acquirer/releaser split.
+// pins that wakeups survive the acquirer/releaser split: on MWSF, bare
+// and instrumented, and on both Slim locks, whose waiters sleep on the
+// lock's own semaphore.
 func TestOversubTokenTransfer(t *testing.T) {
 	underSmallGOMAXPROCS(t, 2)
-	const handoffs = 200
 	for _, pass := range waitPasses() {
-		pass := pass
-		t.Run(string(pass), func(t *testing.T) {
-			l := NewMWSF(pass.opt())
-			// Background readers so the transferred write tokens always
-			// have waiters to wake.  They yield every pass: the point is
-			// waiters on the gate, not CPU pressure (the AllLocks stress
-			// covers that), and unyielding readers starve the handoff
-			// goroutines on 2 Ps for seconds.
-			stop := make(chan struct{})
-			var readers sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				readers.Add(1)
-				go func() {
-					defer readers.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						tok := l.RLock()
-						l.RUnlock(tok)
-						runtime.Gosched()
-					}
-				}()
-			}
-			wtoks := make(chan WToken)
-			rtoks := make(chan RToken)
-			go func() {
-				for i := 0; i < handoffs; i++ {
-					wtoks <- l.Lock()
-					rtoks <- l.RLock()
-				}
-			}()
-			for i := 0; i < handoffs; i++ {
-				l.Unlock(<-wtoks)  // write token released off-goroutine
-				l.RUnlock(<-rtoks) // read token released off-goroutine
-			}
-			close(stop)
-			readers.Wait()
-		})
+		t.Run(string(pass), func(t *testing.T) { tokenTransfer(NewMWSF(pass.opt())) })
 	}
+	for _, b := range slimBuilds() {
+		t.Run(b.name, func(t *testing.T) { tokenTransfer(b.mk()) })
+	}
+}
+
+// tokenTransfer hands l's write and read tokens from the goroutine
+// that acquired them to another that releases them.
+func tokenTransfer(l RWLock) {
+	const handoffs = 200
+	// Background readers so the transferred write tokens always
+	// have waiters to wake.  They yield every pass: the point is
+	// waiters on the gate, not CPU pressure (the AllLocks stress
+	// covers that), and unyielding readers starve the handoff
+	// goroutines on 2 Ps for seconds.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tok := l.RLock()
+				l.RUnlock(tok)
+				runtime.Gosched()
+			}
+		}()
+	}
+	wtoks := make(chan WToken)
+	rtoks := make(chan RToken)
+	go func() {
+		for i := 0; i < handoffs; i++ {
+			wtoks <- l.Lock()
+			rtoks <- l.RLock()
+		}
+	}()
+	for i := 0; i < handoffs; i++ {
+		l.Unlock(<-wtoks)  // write token released off-goroutine
+		l.RUnlock(<-rtoks) // read token released off-goroutine
+	}
+	close(stop)
+	readers.Wait()
 }
 
 // TestOversubGuard: the closure API end-to-end under oversubscription

@@ -23,3 +23,21 @@ func procPin() int
 
 //go:linkname procUnpin runtime.procUnpin
 func procUnpin()
+
+// semacquire / semrelease are the runtime semaphore that sync.Mutex
+// and sync.RWMutex sleep on: semacquire parks the goroutine until the
+// uint32 at addr is positive and then decrements it, semrelease
+// increments it and readies one parked goroutine (with handoff, the
+// caller also gives that goroutine its P).  Any uint32 can be a
+// semaphore, which is what lets a 16-byte Slim lock sleep in its
+// spare 4 bytes (slim.go).
+//
+// These are grandfathered linknames too: runtime/sema.go marks both
+// "Do not remove or change the type signature", because widely used
+// modules link to them.
+//
+//go:linkname semacquire sync.runtime_Semacquire
+func semacquire(addr *uint32)
+
+//go:linkname semrelease sync.runtime_Semrelease
+func semrelease(addr *uint32, handoff bool, skipframes int)

@@ -119,8 +119,10 @@
 // doubles as the wake.  A parked waiter burns none of the scheduler
 // quanta the lock holder needs, so the same wait serves goroutines
 // that fit in GOMAXPROCS and goroutines that outnumber it.  The Slim
-// locks are the exception: a 16-byte lock has no cell to park on, so
-// their slow paths yield in a loop (see NewSlimBravo).
+// locks have no cell: a 16-byte lock's waiters re-check the same
+// number of times, count themselves in its state word and sleep on a
+// runtime semaphore in its 4 spare bytes, which every release of the
+// writer bit posts (see NewSlimBravo).
 //
 // Parking does not change the RMR accounting: the constant-RMR
 // property is a bound on cache traffic per passage, and a parked

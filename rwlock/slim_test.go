@@ -2,9 +2,11 @@ package rwlock
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -26,6 +28,35 @@ func TestSlimSize(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(SlimEpoch{}); sz != 16 {
 		t.Errorf("sizeof(SlimEpoch) = %d, want 16", sz)
+	}
+}
+
+// slimLock is what the Slim tests drive: both lock surfaces plus the
+// state word, id and semaphore underneath.
+type slimLock interface {
+	CtxRWLock
+	TryRWLock
+	word() *slimWord
+}
+
+func (w *slimWord) word() *slimWord { return w }
+
+// slimBuild is one Slim lock and the mask of its sleeper count.
+type slimBuild struct {
+	name     string
+	mk       func() slimLock
+	sleepers int64
+}
+
+// sleeping reads how many goroutines are counted in as sleepers on l.
+func (b slimBuild) sleeping(l slimLock) int64 {
+	return l.word().state.Load() & b.sleepers / (b.sleepers & -b.sleepers)
+}
+
+func slimBuilds() []slimBuild {
+	return []slimBuild{
+		{"SlimBravo", func() slimLock { return NewSlimBravo() }, slimSleepers},
+		{"SlimEpoch", func() slimLock { return NewSlimEpoch() }, slimEpochSleepers},
 	}
 }
 
@@ -130,13 +161,7 @@ func TestSharedTableGOMAXPROCSChange(t *testing.T) {
 // writer waiting for A's reader — is the ordinary drain, also
 // checked.)
 func TestSharedTableWriterIsolation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() RWLock
-	}{
-		{"SlimBravo", func() RWLock { return NewSlimBravo() }},
-		{"SlimEpoch", func() RWLock { return NewSlimEpoch() }},
-	} {
+	for _, tc := range slimBuilds() {
 		t.Run(tc.name, func(t *testing.T) {
 			la, lb := tc.mk(), tc.mk()
 			rt := la.RLock() // fast claim in the arena (bias/epoch open)
@@ -178,13 +203,7 @@ func TestSharedTableWriterIsolation(t *testing.T) {
 // writer holds, busy (with the bias restored, not drained) while a
 // fast reader is published, granted on a quiet lock.
 func TestSlimTryLock(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() TryRWLock
-	}{
-		{"SlimBravo", func() TryRWLock { return NewSlimBravo() }},
-		{"SlimEpoch", func() TryRWLock { return NewSlimEpoch() }},
-	} {
+	for _, tc := range slimBuilds() {
 		t.Run(tc.name, func(t *testing.T) {
 			l := tc.mk()
 			wt := l.Lock()
@@ -237,30 +256,54 @@ func TestSlimBravoTryLockRestoresBias(t *testing.T) {
 }
 
 // TestSlimCtx: cancellation aborts waits before the commitment point
-// and never after — a granted Ctx acquisition on a cancelled context
-// is impossible for these locks only before the CAS.
+// and never after.  A cancelled LockCtx or RLockCtx has slept on the
+// lock's semaphore (its count-in is visible in the state word) before
+// its deadline fires, returns ctx.Err(), and leaves no sleeper counted
+// once the holder unlocks.
 func TestSlimCtx(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() CtxRWLock
-	}{
-		{"SlimBravo", func() CtxRWLock { return NewSlimBravo() }},
-		{"SlimEpoch", func() CtxRWLock { return NewSlimEpoch() }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			l := tc.mk()
+	for _, b := range slimBuilds() {
+		t.Run(b.name, func(t *testing.T) {
+			l := b.mk()
 			wt := l.Lock()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-			defer cancel()
-			if _, err := l.LockCtx(ctx); err == nil {
-				t.Fatal("LockCtx returned nil while another writer holds forever")
-			}
-			ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
-			defer cancel2()
-			if _, err := l.RLockCtx(ctx2); err == nil {
-				t.Fatal("RLockCtx returned nil while a writer holds forever")
+			for _, op := range []struct {
+				name string
+				call func(context.Context) error
+			}{
+				{"LockCtx", func(ctx context.Context) error {
+					tok, err := l.LockCtx(ctx)
+					if err == nil {
+						l.Unlock(tok)
+					}
+					return err
+				}},
+				{"RLockCtx", func(ctx context.Context) error {
+					tok, err := l.RLockCtx(ctx)
+					if err == nil {
+						l.RUnlock(tok)
+					}
+					return err
+				}},
+			} {
+				ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+				res := make(chan error, 1)
+				go func() { res <- op.call(ctx) }()
+				for b.sleeping(l) < 1 {
+					select {
+					case err := <-res:
+						t.Fatalf("%s returned %v before sleeping", op.name, err)
+					default:
+						time.Sleep(100 * time.Microsecond)
+					}
+				}
+				if err := recvWithin(t, res, op.name+" to return"); !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s = %v while a writer holds, want %v", op.name, err, context.DeadlineExceeded)
+				}
+				cancel()
 			}
 			l.Unlock(wt)
+			if n := b.sleeping(l); n != 0 {
+				t.Fatalf("%d sleepers still counted after the holder unlocked", n)
+			}
 			// Quiet lock: both succeed with a live context.
 			wt2, err := l.LockCtx(context.Background())
 			if err != nil {
@@ -272,6 +315,209 @@ func TestSlimCtx(t *testing.T) {
 				t.Fatalf("RLockCtx on a quiet lock: %v", err)
 			}
 			l.RUnlock(rt)
+		})
+	}
+}
+
+// TestSlimWaitersSleep: a reader and a writer that find the write
+// mode held count themselves in and sleep, and the holder's Unlock
+// posts both.
+func TestSlimWaitersSleep(t *testing.T) {
+	for _, b := range slimBuilds() {
+		t.Run(b.name, func(t *testing.T) {
+			l := b.mk()
+			wt := l.Lock()
+			done := make(chan struct{}, 2)
+			go func() { l.RUnlock(l.RLock()); done <- struct{}{} }()
+			go func() { l.Unlock(l.Lock()); done <- struct{}{} }()
+			waitFor(t, "a reader and a writer to sleep", func() bool { return b.sleeping(l) == 2 })
+			l.Unlock(wt)
+			recvWithin(t, done, "the first sleeper to finish")
+			recvWithin(t, done, "the second sleeper to finish")
+			if n := b.sleeping(l); n != 0 {
+				t.Fatalf("%d sleepers still counted on a quiet lock", n)
+			}
+		})
+	}
+}
+
+// TestSlimTryReleasePosts: the release inside a failed TryLock
+// (SlimBravo's bias restore, SlimEpoch's reopen) drops the bit that
+// sleepers may have counted in under, so it must post them.  A
+// fast-path reader forces the failure; the sleeper is counted in by
+// hand, so the test needs no timing.
+func TestSlimTryReleasePosts(t *testing.T) {
+	for _, b := range slimBuilds() {
+		t.Run(b.name, func(t *testing.T) {
+			l := b.mk()
+			rt := l.RLock()
+			if rt.side != slimFastSide {
+				t.Fatal("reader of a fresh lock not on the fast path")
+			}
+			w := l.word()
+			w.state.Add(b.sleepers & -b.sleepers)
+			if _, ok := l.TryLock(); ok {
+				t.Fatal("TryLock succeeded with a fast-path reader inside")
+			}
+			if n := b.sleeping(l); n != 0 {
+				t.Fatalf("failed TryLock left %d sleepers counted", n)
+			}
+			if v := atomic.LoadUint32(&w.sema); v != 1 {
+				t.Fatalf("failed TryLock posted %d, want 1", v)
+			}
+			semacquire(&w.sema)
+			l.RUnlock(rt)
+		})
+	}
+}
+
+// TestSlimTryLockRace mixes TryLock and TryRLock with blocking and
+// cancellable readers and writers on one Slim lock at 2 Ps.  Readers
+// hold their fast-path claims across a yield, so TryLock often takes
+// the bit and then gives it back (SlimBravo's abort, SlimEpoch's
+// reopen) while others are counting in; a release that failed to post
+// them would leave a sleeper behind and the run would not finish.
+func TestSlimTryLockRace(t *testing.T) {
+	underSmallGOMAXPROCS(t, 2)
+	iters := 2000
+	if testing.Short() {
+		iters = 500
+	}
+	for _, b := range slimBuilds() {
+		t.Run(b.name, func(t *testing.T) {
+			l := b.mk()
+			var data int64 // guarded by l
+			var granted atomic.Int64
+			write := func() {
+				data++
+				data++
+			}
+			read := func() {
+				if data%2 != 0 {
+					t.Error("reader observed a writer mid-update")
+				}
+			}
+			tryWrite := func() {
+				if tok, ok := l.TryLock(); ok {
+					write()
+					granted.Add(1)
+					l.Unlock(tok)
+				}
+			}
+			workers := []func(i int){
+				func(i int) { // blocking writer, sometimes yielding inside
+					tok := l.Lock()
+					write()
+					if i%8 == 0 {
+						runtime.Gosched()
+					}
+					l.Unlock(tok)
+				},
+				func(i int) { // blocking reader, holding its claim across a yield
+					tok := l.RLock()
+					read()
+					if i%2 == 0 {
+						runtime.Gosched()
+					}
+					l.RUnlock(tok)
+				},
+				func(i int) { // blocking reader
+					tok := l.RLock()
+					read()
+					l.RUnlock(tok)
+				},
+				func(int) { tryWrite() },
+				func(int) { // TryLock and TryRLock
+					tryWrite()
+					if tok, ok := l.TryRLock(); ok {
+						read()
+						l.RUnlock(tok)
+					}
+				},
+				func(i int) { // cancellable writer and reader, short deadlines
+					ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%50)*time.Microsecond)
+					if tok, err := l.LockCtx(ctx); err == nil {
+						write()
+						granted.Add(1)
+						l.Unlock(tok)
+					}
+					if tok, err := l.RLockCtx(ctx); err == nil {
+						read()
+						l.RUnlock(tok)
+					}
+					cancel()
+				},
+			}
+			done := make(chan struct{}, len(workers))
+			for _, work := range workers {
+				go func() {
+					defer func() { done <- struct{}{} }()
+					for i := 0; i < iters; i++ {
+						work(i)
+					}
+				}()
+			}
+			for range workers {
+				select {
+				case <-done:
+				case <-time.After(60 * time.Second):
+					t.Fatalf("a worker never finished (state %#x): a sleeper was not posted", l.word().state.Load())
+				}
+			}
+			if want := 2 * (int64(iters) + granted.Load()); data != want {
+				t.Fatalf("data = %d, want %d (lost writer updates)", data, want)
+			}
+			if n := b.sleeping(l); n != 0 {
+				t.Fatalf("%d sleepers still counted on a quiet lock", n)
+			}
+
+			// Abort storm, on a fresh lock (SlimBravo's bias armed): with
+			// every arena slot its readers can claim held, each TryLock
+			// takes the bit and gives it back, and readers all take the
+			// slow path.  The give-backs are the only releases, so a
+			// reader that counts in under one is posted by it or by
+			// nothing.
+			ls := b.mk()
+			id := int64(ls.word().id)
+			var pins []int64
+			for r := uint64(0); r <= slimArena.rmask; r++ {
+				for {
+					idx, ok := slimArena.claimIn(id, r)
+					if !ok {
+						break
+					}
+					pins = append(pins, idx)
+				}
+			}
+			slowRead := func() { ls.RUnlock(ls.RLock()) }
+			giveBack := func() {
+				if tok, ok := ls.TryLock(); ok {
+					t.Error("TryLock succeeded past a live fast-path claim")
+					ls.Unlock(tok)
+				}
+			}
+			storm := []func(){slowRead, slowRead, slowRead, giveBack, giveBack}
+			for _, op := range storm {
+				go func() {
+					defer func() { done <- struct{}{} }()
+					for i := 0; i < 10*iters; i++ {
+						op()
+					}
+				}()
+			}
+			for range storm {
+				select {
+				case <-done:
+				case <-time.After(60 * time.Second):
+					t.Fatalf("a storm worker never finished (state %#x): a sleeper was not posted", ls.word().state.Load())
+				}
+			}
+			for _, idx := range pins {
+				slimArena.release(idx)
+			}
+			if n := b.sleeping(ls); n != 0 {
+				t.Fatalf("%d sleepers still counted on a quiet lock", n)
+			}
 		})
 	}
 }
